@@ -31,7 +31,6 @@ from .analysis import (
     critical_state,
     critical_x,
     full_spectrum,
-    gap_exponent_vs_k,
     gap_ratio_eq3,
     gaps,
     ipr,

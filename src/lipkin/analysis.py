@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Parity, build_block, make_sector
-from .eigen import eig_real_tridiag
+from .eigen import EigenResult, eig_real_tridiag
 
 
 class NoCrossingError(ValueError):
@@ -122,6 +122,20 @@ def gaps(s: Spectrum, sector: Parity) -> np.ndarray:
     return np.diff(values)
 
 
+def _lower_half_min_gap(values: np.ndarray) -> tuple[int, float]:
+    """Index and size of the smallest gap among one sector's lower-half
+    levels (values ascending); ties go to the smallest index."""
+    if len(values) < 2:
+        raise ValueError(
+            f"sector has {len(values)} level(s); no gaps to take"
+        )
+    half = (len(values) + 1) // 2
+    n_gaps = max(1, half - 1)
+    search = np.diff(values[:n_gaps + 1])
+    i = int(np.argmin(search))  # argmin takes the first of equal values
+    return i, float(search[i])
+
+
 def min_gap(s: Spectrum, sector: Parity) -> tuple[int, float]:
     """Smallest same-sector gap among the lower-half levels.
 
@@ -130,14 +144,9 @@ def min_gap(s: Spectrum, sector: Parity) -> tuple[int, float]:
     x_c of the scaled spectrum.  Ties go to the smallest index.
     """
     values = s.sector_values(sector)
-    g = gaps(s, sector)
-    half = (len(values) + 1) // 2
-    n_gaps = max(1, half - 1)
-    search = g[:n_gaps]
-    i = int(np.argmin(search))  # argmin takes the first of equal values
-    lower_level = values[i]
-    k_c = int(np.searchsorted(s.merged, lower_level, side="left")) + 1
-    return k_c, float(search[i])
+    i, gap = _lower_half_min_gap(values)
+    k_c = int(np.searchsorted(s.merged, values[i], side="left")) + 1
+    return k_c, gap
 
 
 def critical_x(n_particles: int, coupling: float,
@@ -213,11 +222,14 @@ def loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:
 
 
 def _sector_gap(n: int, coupling: float, k: int, sector: Parity) -> float:
-    s = full_spectrum(n, coupling)
-    g = gaps(s, sector)
-    if k > len(g):
-        raise ValueError(f"sector has only {len(g)} gaps, asked for k={k}")
-    return float(g[k - 1])
+    """E_{k+1} - E_k of one sector, from those two levels alone."""
+    block = build_block(n, coupling, sector)
+    if k > block.dimension - 1:
+        raise ValueError(
+            f"sector has only {block.dimension - 1} gaps, asked for k={k}"
+        )
+    lower, upper = eig_real_tridiag(block, index_range=(k - 1, k)).values
+    return float(upper - lower)
 
 
 def scaling_exponent_eq2(k: int, n_list: Sequence[int],
@@ -226,8 +238,11 @@ def scaling_exponent_eq2(k: int, n_list: Sequence[int],
     """Finite-size decay of the k-th same-sector gap at fixed k.
 
     At the critical coupling the gap scales like (k/N)^(1/3), so the
-    log-log slope against N comes out near -1/3.
+    log-log slope against N comes out near -1/3.  Each N solves for
+    levels k and k+1 of the one sector only.
     """
+    if k < 1:
+        raise ValueError(f"gap index k must be >= 1, got {k}")
     n_list = sorted(int(n) for n in n_list)
     if any(n < 2 * k + 2 for n in n_list):
         raise ValueError(f"all N must be >= 2k+2 = {2 * k + 2}")
@@ -236,22 +251,11 @@ def scaling_exponent_eq2(k: int, n_list: Sequence[int],
     return ScalingReport(ScalingLaw.EQ2_EXPONENT, samples, slope)
 
 
-def gap_exponent_vs_k(n: int, k_list: Sequence[int],
-                      coupling: float = 1.0,
-                      sector: Parity = Parity.EVEN) -> ScalingReport:
-    """Companion regression: gap against k at fixed N (slope near +1/3)."""
-    k_list = sorted(int(k) for k in k_list)
-    s = full_spectrum(n, coupling)
-    g = gaps(s, sector)
-    samples = [(k, float(g[k - 1])) for k in k_list]
-    slope = loglog_slope([k for k, _ in samples], [v for _, v in samples])
-    return ScalingReport(ScalingLaw.EQ2_EXPONENT, samples, slope)
-
-
 def gap_ratio_eq3(coupling: float, n_list: Sequence[int],
                   sector: Parity = Parity.EVEN) -> ScalingReport:
     """Minimum-gap ratio r(N) = gap_min * ln(N) / (2 pi sqrt(g^2 - 1)).
 
+    gap_min is min_gap's gap, taken from the one sector's spectrum.
     Convergence of r toward 1 is logarithmically slow; callers should
     treat the sequence as a trend, not a limit.
     """
@@ -261,8 +265,8 @@ def gap_ratio_eq3(coupling: float, n_list: Sequence[int],
     denom = 2.0 * math.pi * math.sqrt(lam * lam - 1.0)
     samples = []
     for n in sorted(int(n) for n in n_list):
-        s = full_spectrum(n, lam)
-        _, gap = min_gap(s, sector)
+        values = eig_real_tridiag(build_block(n, lam, sector)).values
+        _, gap = _lower_half_min_gap(values)
         samples.append((n, gap * math.log(n) / denom))
     return ScalingReport(ScalingLaw.EQ3_RATIO, samples,
                          [r for _, r in samples])
@@ -341,14 +345,18 @@ def critical_lambda(n_particles: int, k: int, sector: Parity,
 
 
 def critical_state(n_particles: int, coupling: float,
-                   sector: Parity = Parity.EVEN):
+                   sector: Parity = Parity.EVEN,
+                   solved: EigenResult | None = None):
     """Eigenvector of the sector level nearest the critical line.
 
     Returns (k, eigenvalue, vector, basis_m).  This is the state that
-    localizes on m = -j as N grows.
+    localizes on m = -j as N grows.  solved, when given, is the block's
+    full solve with vectors, which is then not repeated.
     """
-    block = build_block(n_particles, float(coupling), sector)
-    res = eig_real_tridiag(block, want_vectors=True)
-    eps = 2.0 * res.values / n_particles
+    if solved is None:
+        block = build_block(n_particles, float(coupling), sector)
+        solved = eig_real_tridiag(block, want_vectors=True)
+    eps = 2.0 * solved.values / n_particles
     k = int(np.argmin(np.abs(eps + 1.0)))
-    return k + 1, float(res.values[k]), res.vectors[:, k], block.sector.basis_m
+    return (k + 1, float(solved.values[k]), solved.vectors[:, k],
+            solved.sector.basis_m)

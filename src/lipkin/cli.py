@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -76,7 +77,7 @@ def _json_payload(config: dict, results, elapsed: float | None) -> str:
             "elapsed_seconds": elapsed,
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -162,7 +163,24 @@ def cmd_gaps(args) -> tuple[list[str], list[list], dict]:
     return header, rows, {"min_gap": smallest, "min_gap_merged_index": k_c}
 
 
+def _check_scaling(args) -> None:
+    """Reject sweeps the laws cannot evaluate, before any solve."""
+    if args.law == "eq2":
+        smallest = 2 * args.k + 2
+        if len(set(args.n_list)) < 2:
+            raise UsageError("--law eq2 fits a slope and needs at least two "
+                             "distinct N in --n-list")
+    else:
+        if args.lam is None or args.lam <= 1.0:
+            raise UsageError("--law eq3 needs --lambda greater than 1")
+        smallest = 2
+    if min(args.n_list) < smallest:
+        raise UsageError(f"--law {args.law} needs every N in --n-list to be "
+                         f">= {smallest}, got {min(args.n_list)}")
+
+
 def cmd_scaling(args) -> tuple[list[str], list[list], dict]:
+    _check_scaling(args)
     n_list = args.n_list
     if args.law == "eq2":
         lam = 1.0 if args.lam is None else args.lam
@@ -172,8 +190,6 @@ def cmd_scaling(args) -> tuple[list[str], list[list], dict]:
         extra = {"law": "eq2", "k": args.k, "lambda": lam,
                  "slope": report.summary, "expected_slope": -1.0 / 3.0}
     else:
-        if args.lam is None or args.lam <= 1.0:
-            raise UsageError("--law eq3 needs --lambda greater than 1")
         _progress(f"min-gap ratio sweep over N={n_list} at coupling {args.lam}")
         report = gap_ratio_eq3(args.lam, n_list)
         header = ["n", "ratio"]
@@ -184,6 +200,11 @@ def cmd_scaling(args) -> tuple[list[str], list[list], dict]:
 
 
 def cmd_eps(args) -> tuple[list[str], list[list], dict]:
+    if not (args.re_min < args.re_max and 0.0 <= args.im_min < args.im_max):
+        raise UsageError(
+            "the scan region needs --re-min < --re-max and "
+            "0 <= --im-min < --im-max"
+        )
     sectors = ([Parity.EVEN, Parity.ODD] if args.sector == "both"
                else [_parse_sector(args.sector)])
     region = (args.re_min, args.re_max, args.im_min, args.im_max)
@@ -257,7 +278,8 @@ def cmd_localization(args) -> tuple[list[str], list[list], dict]:
         peak = m_grid[int(np.argmax(np.abs(vec)))]
         rows.append([k, res.values[k - 1],
                      2.0 * res.values[k - 1] / args.n, ipr(vec), peak])
-    k_crit, e_crit, vec, _ = critical_state(args.n, args.lam, sector)
+    k_crit, e_crit, vec, _ = critical_state(args.n, args.lam, sector,
+                                            solved=res)
     return header, rows, {"critical_level": k_crit,
                           "critical_level_ipr": ipr(vec)}
 
@@ -269,17 +291,40 @@ class UsageError(ValueError):
     pass
 
 
-def _int_list(text: str) -> list[int]:
+def _positive_int(text: str) -> int:
     try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, "
+                                         f"got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    values = [_positive_int(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty integer list {text!r}")
+    return values
 
 
 def _float_pair(text: str) -> list[float]:
-    parts = [float(p) for p in text.split(",") if p]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO,HI, got {text!r}")
+    parts = [_finite_float(p) for p in text.split(",") if p]
+    if len(parts) != 2 or not 0.0 <= parts[0] < parts[1]:
+        raise argparse.ArgumentTypeError(
+            f"expected LO,HI with 0 <= LO < HI, got {text!r}")
     return parts
 
 
@@ -304,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
                            default=default_sector)
 
     p = sub.add_parser("spectrum", help="eigenvalues and the scaled view")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float,
+                   required=True)
     p.add_argument("--lower-half", action="store_true",
                    help="emit only the lower half (x <= 1)")
     p.add_argument("--derivative", action="store_true",
@@ -314,29 +360,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_spectrum)
 
     p = sub.add_parser("gaps", help="same-sector level distances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float,
+                   required=True)
     common(p, sectors=("even", "odd"), default_sector="even")
     p.set_defaults(run=cmd_gaps)
 
     p = sub.add_parser("scaling", help="finite-size scaling sweeps")
     p.add_argument("--law", choices=["eq2", "eq3"], required=True)
-    p.add_argument("--k", type=int, default=1,
+    p.add_argument("--k", type=_positive_int, default=1,
                    help="gap index for the exponent law")
     p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite_float,
+                   default=None)
     common(p, sectors=None)
     p.set_defaults(run=cmd_scaling)
 
     p = sub.add_parser("eps", help="branch points in the coupling plane")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--re-min", type=float, default=0.0)
-    p.add_argument("--re-max", type=float, required=True)
-    p.add_argument("--im-min", type=float, default=0.0)
-    p.add_argument("--im-max", type=float, required=True)
-    p.add_argument("--grid", type=int, default=80,
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--re-min", type=_finite_float, default=0.0)
+    p.add_argument("--re-max", type=_finite_float, required=True)
+    p.add_argument("--im-min", type=_finite_float, default=0.0)
+    p.add_argument("--im-max", type=_finite_float, required=True)
+    p.add_argument("--grid", type=_positive_int, default=80,
                    help="grid points per axis for seeding")
-    p.add_argument("--im-tol", type=float, default=None,
+    p.add_argument("--im-tol", type=_finite_float, default=None,
                    help="also report the near-real count below this cutoff")
     p.add_argument("--no-pairs", action="store_true",
                    help="skip level-pair identification")
@@ -344,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_eps)
 
     p = sub.add_parser("fit", help="critical-line singularity fit + acid test")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float,
+                   required=True)
     p.add_argument("--side", choices=["left", "right"], default=None,
                    help="fit one side only (default: both)")
     p.add_argument("--terms", type=int, default=3, choices=[1, 2, 3])
@@ -356,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localization",
                        help="per-level inverse participation ratios")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float,
+                   required=True)
     common(p, sectors=("even", "odd"), default_sector="even")
     p.set_defaults(run=cmd_localization)
 
@@ -380,6 +430,16 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     try:
         header, rows, extra = args.run(args)
+        elapsed = time.monotonic() - start
+        if args.format == "csv":
+            text = _csv_lines(header, rows)
+        else:
+            # allow_nan=False: a NaN or infinity in the results raises
+            # ValueError here instead of emitting invalid JSON
+            results = {"rows": _rows_to_json(header, rows), **extra}
+            text = _json_payload(_config_echo(args),
+                                 results,
+                                 elapsed if args.timing else None)
     except (UsageError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -387,14 +447,6 @@ def main(argv: list[str] | None = None) -> int:
             ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    elapsed = time.monotonic() - start
-    if args.format == "csv":
-        text = _csv_lines(header, rows)
-    else:
-        results = {"rows": _rows_to_json(header, rows), **extra}
-        text = _json_payload(_config_echo(args),
-                             results,
-                             elapsed if args.timing else None)
     _emit(text, args.output)
     return 0
 

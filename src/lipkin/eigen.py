@@ -52,23 +52,37 @@ class EigenResult:
         return len(self.values)
 
 
-def eig_real_tridiag(block: TridiagonalBlock, want_vectors: bool = False) -> EigenResult:
-    """All eigenvalues of a real-coupling block, ascending.
+def eig_real_tridiag(block: TridiagonalBlock, want_vectors: bool = False,
+                     index_range: tuple[int, int] | None = None) -> EigenResult:
+    """Eigenvalues of a real-coupling block, ascending.
 
-    Vectors, when requested, come back column-aligned with the values
-    and orthonormal.
+    All of them by default.  index_range=(lo, hi) asks for levels lo..hi
+    only (0-based, inclusive), found by Sturm-count bisection at O(dim)
+    per level; use it when a few levels are needed, never for the whole
+    spectrum, where bisection is an order of magnitude slower than the
+    full solve.  Vectors, when requested, come back column-aligned with
+    the values and orthonormal.
     """
     if not block.is_real:
         raise ValueError("block has complex coupling; use eig_complex_tridiag")
     d = block.diag
     e = np.asarray(block.offdiag, dtype=float)
+    select = {}
+    if index_range is not None:
+        lo, hi = index_range
+        if not 0 <= lo <= hi < block.dimension:
+            raise ValueError(
+                f"level range ({lo}, {hi}) is outside 0..{block.dimension - 1}"
+            )
+        select = {"select": "i", "select_range": (lo, hi)}
     if block.dimension == 1:
         values = d.copy()
         vectors = np.ones((1, 1)) if want_vectors else None
     elif want_vectors:
-        values, vectors = scipy.linalg.eigh_tridiagonal(d, e)
+        values, vectors = scipy.linalg.eigh_tridiagonal(d, e, **select)
     else:
-        values = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
+        values = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
+                                               **select)
         vectors = None
     return EigenResult(values, vectors, block.sector, block.coupling)
 

@@ -8,9 +8,11 @@ from lipkin import (
     NoCrossingError,
     Parity,
     UndefinedAtCriticalCoupling,
+    build_block,
     critical_lambda,
     critical_state,
     critical_x,
+    eig_real_tridiag,
     full_spectrum,
     gap_ratio_eq3,
     gaps,
@@ -166,6 +168,55 @@ def test_scaling_exponent_near_one_third():
 def test_scaling_exponent_precondition():
     with pytest.raises(ValueError):
         scaling_exponent_eq2(3, [4, 8])
+    with pytest.raises(ValueError):
+        scaling_exponent_eq2(0, [16, 32])  # g[k - 1] would read g[-1]
+
+
+WINDOW_NS = [16, 17, 64, 255, 1024, 4096]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+def test_eq2_window_gap_matches_full_spectrum(k, lam):
+    report = scaling_exponent_eq2(k, WINDOW_NS, coupling=lam)
+    assert [n for n, _ in report.samples] == WINDOW_NS
+    for n, gap in report.samples:
+        full = gaps(full_spectrum(n, lam), Parity.EVEN)[k - 1]
+        assert gap == pytest.approx(full, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("sector", [Parity.EVEN, Parity.ODD])
+@pytest.mark.parametrize("lam", [1.5, 2.0, 5.0])
+def test_eq3_one_sector_ratios_equal_min_gap(sector, lam):
+    ns = [3, 17, 256, 1000]
+    report = gap_ratio_eq3(lam, ns, sector)
+    denom = 2.0 * math.pi * math.sqrt(lam * lam - 1.0)
+    expected = [min_gap(full_spectrum(n, lam), sector)[1] * math.log(n)
+                / denom for n in ns]
+    assert report.summary == expected
+
+
+def test_scaling_sweeps_solve_only_the_requested_sector(monkeypatch):
+    import lipkin.analysis as analysis
+
+    solves = []
+    real_solver = analysis.eig_real_tridiag
+
+    def counting_solver(block, *args, **kwargs):
+        res = real_solver(block, *args, **kwargs)
+        solves.append((block.sector.parity, len(res.values)))
+        return res
+
+    def no_full_spectrum(*args, **kwargs):
+        raise AssertionError("full_spectrum called by a scaling sweep")
+
+    monkeypatch.setattr(analysis, "eig_real_tridiag", counting_solver)
+    monkeypatch.setattr(analysis, "full_spectrum", no_full_spectrum)
+    scaling_exponent_eq2(2, [64, 128, 256])
+    assert solves == [(Parity.EVEN, 2)] * 3  # levels k and k+1 only
+    solves.clear()
+    gap_ratio_eq3(2.0, [64, 129])
+    assert solves == [(Parity.EVEN, 33), (Parity.EVEN, 65)]
 
 
 def test_gap_ratio_synthetic_identity():
@@ -207,6 +258,16 @@ def test_critical_state_localizes_on_lowest_weight():
     assert weights[:10].sum() > 0.5
     assert ipr(vec) > 20.0 / len(vec)
     assert ipr(vec) == pytest.approx(0.1132, abs=0.01)  # frozen profile
+
+
+def test_critical_state_reuses_a_given_solve():
+    block = build_block(300, 5.0, Parity.ODD)
+    solved = eig_real_tridiag(block, want_vectors=True)
+    k, energy, vec, m_grid = critical_state(300, 5.0, Parity.ODD, solved)
+    fresh = critical_state(300, 5.0, Parity.ODD)
+    assert (k, energy) == fresh[:2]
+    assert np.array_equal(vec, fresh[2])
+    assert np.array_equal(m_grid, fresh[3])
 
 
 def test_critical_state_edge_profile_is_scale_free():

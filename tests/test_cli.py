@@ -195,3 +195,89 @@ def test_timing_flag_populates_metadata():
                             "--format", "json", "--timing"])
     doc = json.loads(out)
     assert doc["meta"]["elapsed_seconds"] >= 0.0
+
+
+def exit_code(argv):
+    """main's return code, or the code argparse exits with."""
+    try:
+        code, _, _ = run_cli(argv)
+    except SystemExit as exc:
+        return exc.code
+    return code
+
+
+@pytest.mark.parametrize("argv", [
+    ["--law", "eq2", "--k", "1", "--n-list", "2,4"],  # N < 2k+2
+    ["--law", "eq2", "--n-list", ","],
+    ["--law", "eq2", "--n-list", "256"],
+    ["--law", "eq2", "--n-list", "256,256"],
+    ["--law", "eq2", "--k", "0", "--n-list", "64,128"],
+    ["--law", "eq2", "--k", "-1", "--n-list", "64,128"],
+    ["--law", "eq2", "--n-list", "0,64"],
+    ["--law", "eq3", "--lambda", "2", "--n-list", "1"],
+    ["--law", "eq3", "--lambda", "2", "--n-list", ","],
+])
+def test_bad_scaling_input_is_usage_error_before_any_solve(argv, monkeypatch):
+    import lipkin.analysis
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a block for rejected input")
+
+    monkeypatch.setattr(lipkin.analysis, "eig_real_tridiag", no_solve)
+    assert exit_code(["scaling", *argv]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "0", "--lambda", "1"],
+    ["spectrum", "--n", "-3", "--lambda", "1"],
+    ["gaps", "--n", "10", "--lambda", "nan"],
+    ["spectrum", "--n", "10", "--lambda", "inf"],
+    ["localization", "--n", "10", "--lambda=-inf"],
+    ["scaling", "--law", "eq3", "--lambda", "nan", "--n-list", "64,128"],
+    ["fit", "--n", "512", "--lambda", "5", "--window", "0.5,0.1"],
+    ["fit", "--n", "512", "--lambda", "5", "--window", "0.1,nan"],
+    ["eps", "--n", "4", "--re-max", "3", "--im-max", "3", "--grid", "0"],
+    ["eps", "--n", "4", "--re-max", "3", "--im-max", "-1"],
+    ["eps", "--n", "4", "--re-min", "3", "--re-max", "1", "--im-max", "1"],
+    ["eps", "--n", "4", "--re-max", "3", "--im-min", "-1", "--im-max", "1"],
+])
+def test_bad_input_is_usage_error(argv):
+    assert exit_code(argv) == 2
+
+
+def test_non_finite_json_result_is_numerical_failure(tmp_path, monkeypatch):
+    import lipkin.cli
+    from lipkin.analysis import ScalingLaw, ScalingReport
+
+    def nan_report(coupling, n_list):
+        return ScalingReport(ScalingLaw.EQ3_RATIO, [(64, math.nan)],
+                             [math.nan])
+
+    monkeypatch.setattr(lipkin.cli, "gap_ratio_eq3", nan_report)
+    target = tmp_path / "out.json"
+    code, _, err = run_cli(["scaling", "--law", "eq3", "--lambda", "2",
+                            "--n-list", "64", "--format", "json",
+                            "--output", str(target)])
+    assert code == 3
+    assert "failure" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_localization_solves_its_block_once(monkeypatch):
+    import lipkin.analysis
+    import lipkin.cli
+
+    calls = []
+    real_solver = lipkin.cli.eig_real_tridiag
+
+    def counting_solver(*args, **kwargs):
+        calls.append(kwargs.get("want_vectors", False))
+        return real_solver(*args, **kwargs)
+
+    monkeypatch.setattr(lipkin.cli, "eig_real_tridiag", counting_solver)
+    monkeypatch.setattr(lipkin.analysis, "eig_real_tridiag", counting_solver)
+    code, out, _ = run_cli(["localization", "--n", "40", "--lambda", "5",
+                            "--format", "json"])
+    assert code == 0
+    assert calls == [True]
+    assert json.loads(out)["results"]["critical_level"] >= 1

@@ -77,6 +77,23 @@ def test_eigenvector_residuals_and_orthonormality():
     assert np.max(np.abs(gram - np.eye(res.dimension))) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_real_solver_index_range_picks_levels(n):
+    block = build_block(n, 1.7, Parity.EVEN)
+    full = eig_real_tridiag(block, want_vectors=True)
+    dim = full.dimension
+    for lo, hi in {(0, 0), (0, min(1, dim - 1)), (dim - 1, dim - 1)}:
+        part = eig_real_tridiag(block, want_vectors=True, index_range=(lo, hi))
+        assert np.allclose(part.values, full.values[lo:hi + 1],
+                           rtol=0.0, atol=1e-12)
+        overlap = np.abs(np.sum(part.vectors * full.vectors[:, lo:hi + 1],
+                                axis=0))
+        assert np.allclose(overlap, 1.0, atol=1e-10)
+    for bad in [(-1, 0), (1, 0), (0, dim)]:
+        with pytest.raises(ValueError):
+            eig_real_tridiag(block, index_range=bad)
+
+
 def test_complex_solver_analytic_coalescence():
     # 2x2 even block of N=2: eigenvalues +-sqrt(1 + g^2/4)
     values = eig_complex_tridiag(build_block(2, 2.0j, Parity.EVEN)).values
