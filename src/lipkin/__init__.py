@@ -3,27 +3,21 @@ branch points of the analytic continuation in the coupling."""
 
 from .core import (
     Parity,
-    ParitySector,
-    SpinRepresentation,
     TridiagonalBlock,
     apply_scaled_hamiltonian,
     build_block,
     ladder_couplings,
-    n_parity_label,
     sector_basis,
 )
 from .eigen import (
-    DetValue,
     EigenResult,
     SolverError,
-    charpoly_det,
     eig_complex_tridiag,
     eig_real_tridiag,
 )
 from .analysis import (
     NoCrossingError,
     ScaledSpectrum,
-    ScalingLaw,
     ScalingReport,
     Spectrum,
     UndefinedAtCriticalCoupling,

@@ -16,14 +16,13 @@ Conventions used throughout (and in the CLI output):
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import Parity, build_block, make_sector
+from .core import Parity, build_block, sector_basis
 from .eigen import EigenResult, eig_real_tridiag
 
 
@@ -61,18 +60,12 @@ class ScaledSpectrum:
     selector: str  # "merged", "even" or "odd"
 
 
-class ScalingLaw(enum.Enum):
-    EQ2_EXPONENT = "gap_exponent"
-    EQ3_RATIO = "gap_ratio"
-
-
 @dataclass(frozen=True)
 class ScalingReport:
     """Samples of a finite-size scaling quantity plus its summary."""
 
-    law: ScalingLaw
     samples: list[tuple[int, float]]
-    summary: object  # fitted exponent (float) or ratio sequence (list)
+    summary: float | list[float]  # eq2: fitted exponent; eq3: the ratios
 
 
 def full_spectrum(n_particles: int, coupling: float) -> Spectrum:
@@ -174,6 +167,12 @@ def critical_x(n_particles: int, coupling: float,
             "deformed region"
         )
     i = int(np.searchsorted(eps, -1.0))
+    if i == len(eps):
+        raise NoCrossingError(
+            f"every scaled lower-half level lies below the critical line at "
+            f"coupling {lam}; N={n_particles} is too small to resolve the "
+            "crossing"
+        )
     x0, x1 = ss.x[i - 1], ss.x[i]
     e0, e1 = eps[i - 1], eps[i]
     return float(x0 + (-1.0 - e0) * (x1 - x0) / (e1 - e0))
@@ -248,7 +247,7 @@ def scaling_exponent_eq2(k: int, n_list: Sequence[int],
         raise ValueError(f"all N must be >= 2k+2 = {2 * k + 2}")
     samples = [(n, _sector_gap(n, coupling, k, sector)) for n in n_list]
     slope = loglog_slope([n for n, _ in samples], [g for _, g in samples])
-    return ScalingReport(ScalingLaw.EQ2_EXPONENT, samples, slope)
+    return ScalingReport(samples, slope)
 
 
 def gap_ratio_eq3(coupling: float, n_list: Sequence[int],
@@ -268,8 +267,7 @@ def gap_ratio_eq3(coupling: float, n_list: Sequence[int],
         values = eig_real_tridiag(build_block(n, lam, sector)).values
         _, gap = _lower_half_min_gap(values)
         samples.append((n, gap * math.log(n) / denom))
-    return ScalingReport(ScalingLaw.EQ3_RATIO, samples,
-                         [r for _, r in samples])
+    return ScalingReport(samples, [r for _, r in samples])
 
 
 def ipr(v: np.ndarray) -> float:
@@ -359,4 +357,4 @@ def critical_state(n_particles: int, coupling: float,
     eps = 2.0 * solved.values / n_particles
     k = int(np.argmin(np.abs(eps + 1.0)))
     return (k + 1, float(solved.values[k]), solved.vectors[:, k],
-            solved.sector.basis_m)
+            sector_basis(n_particles, sector))

@@ -35,9 +35,9 @@ from .analysis import (
     scaling_exponent_eq2,
     spectral_derivative,
 )
-from .core import Parity, build_block
+from .core import Parity, build_block, sector_basis
 from .eigen import SolverError, eig_real_tridiag
-from .excpt import EpConvergenceError, ep_scan
+from .excpt import EpConvergenceError, _near_real_count, ep_scan
 from .logfit import (
     DEFAULT_WINDOW,
     FitError,
@@ -122,7 +122,23 @@ def _parse_sector(name: str) -> Parity:
 # ---------------------------------------------------------------- commands
 
 
+def _sector_size(n: int, selector: str) -> int:
+    """Number of levels a spectrum selector holds, without a solve."""
+    if selector == "merged":
+        return n + 1
+    return len(sector_basis(n, Parity(selector)))
+
+
 def cmd_spectrum(args) -> tuple[list[str], list[list], dict]:
+    if args.derivative:
+        stride = 2 if args.sector == "merged" else 1
+        points = min(_sector_size(args.n, args.sector), args.n // 2)
+        if points < stride + 1:
+            raise UsageError(
+                f"--derivative takes stride-{stride} differences of the "
+                f"lower half, which needs at least {stride + 1} levels; "
+                f"N={args.n} gives {points}"
+            )
     s = full_spectrum(args.n, args.lam)
     selector = args.sector
     if selector == "merged":
@@ -152,6 +168,10 @@ def cmd_spectrum(args) -> tuple[list[str], list[list], dict]:
 
 
 def cmd_gaps(args) -> tuple[list[str], list[list], dict]:
+    levels = _sector_size(args.n, args.sector)
+    if levels < 2:
+        raise UsageError(f"the {args.sector} sector of N={args.n} holds "
+                         f"{levels} level; gaps need at least 2")
     s = full_spectrum(args.n, args.lam)
     sector = _parse_sector(args.sector)
     g = gaps(s, sector)
@@ -224,9 +244,8 @@ def cmd_eps(args) -> tuple[list[str], list[list], dict]:
               "sector", "residual"]
     extra = {"count": len(rows)}
     if args.im_tol is not None:
-        near = sum(1 for r in rows if 1.0 < r[0] < args.re_max
-                   and abs(r[1]) < args.im_tol)
-        extra["near_real_count"] = near
+        extra["near_real_count"] = _near_real_count(
+            [complex(r[0], r[1]) for r in rows], args.re_max, args.im_tol)
         extra["im_tol"] = args.im_tol
     return header, rows, extra
 
@@ -270,12 +289,11 @@ def cmd_localization(args) -> tuple[list[str], list[list], dict]:
     sector = _parse_sector(args.sector)
     block = build_block(args.n, args.lam, sector)
     res = eig_real_tridiag(block, want_vectors=True)
-    m_grid = block.sector.basis_m
     header = ["k", "E", "eps", "ipr", "m_peak"]
     rows = []
-    for k in range(1, res.dimension + 1):
+    for k in range(1, len(res.values) + 1):
         vec = res.vectors[:, k - 1]
-        peak = m_grid[int(np.argmax(np.abs(vec)))]
+        peak = block.diag[int(np.argmax(np.abs(vec)))]
         rows.append([k, res.values[k - 1],
                      2.0 * res.values[k - 1] / args.n, ipr(vec), peak])
     k_crit, e_crit, vec, _ = critical_state(args.n, args.lam, sector,

@@ -31,53 +31,6 @@ class Parity(enum.Enum):
         return self.value
 
 
-def n_parity_label(n_particles: int, parity: Parity) -> str:
-    """Physical label of a sector under the convention that ties the
-    sector containing m = -j to the parity of N ("even" for N even).
-    """
-    same = (n_particles % 2 == 0) == (parity is Parity.EVEN)
-    return "even" if same else "odd"
-
-
-def _check_n(n_particles: int) -> None:
-    if n_particles < 1:
-        raise ValueError(
-            f"n_particles must be >= 1, got {n_particles}; the 1/N "
-            "interaction scale is undefined otherwise"
-        )
-
-
-@dataclass(frozen=True)
-class SpinRepresentation:
-    """The spin-j multiplet carrying the Hamiltonian, j = N/2."""
-
-    n_particles: int
-
-    def __post_init__(self) -> None:
-        _check_n(self.n_particles)
-
-    @property
-    def spin_j(self) -> float:
-        return self.n_particles / 2.0
-
-    @property
-    def dimension(self) -> int:
-        return self.n_particles + 1
-
-
-@dataclass(frozen=True)
-class ParitySector:
-    """One invariant sector: its label and ascending m-grid (step 2)."""
-
-    n_particles: int
-    parity: Parity
-    basis_m: np.ndarray = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis_m)
-
-
 def sector_basis(n_particles: int, parity: Parity) -> np.ndarray:
     """Return the ascending m-grid of one sector.
 
@@ -85,14 +38,14 @@ def sector_basis(n_particles: int, parity: Parity) -> np.ndarray:
     entries within a sector differ by exactly 2.  m-values are exact in
     floating point (integers or half-integers).
     """
-    _check_n(n_particles)
+    if n_particles < 1:
+        raise ValueError(
+            f"n_particles must be >= 1, got {n_particles}; the 1/N "
+            "interaction scale is undefined otherwise"
+        )
     j = n_particles / 2.0
     start = -j if parity is Parity.EVEN else -j + 1.0
     return np.arange(start, j + 0.5, 2.0)
-
-
-def make_sector(n_particles: int, parity: Parity) -> ParitySector:
-    return ParitySector(n_particles, parity, sector_basis(n_particles, parity))
 
 
 def ladder_couplings(n_particles: int, parity: Parity) -> np.ndarray:
@@ -123,7 +76,7 @@ class TridiagonalBlock:
     offdiag: np.ndarray = field(repr=False)
     coupling: complex
     n_particles: int
-    sector: ParitySector
+    parity: Parity
 
     @property
     def dimension(self) -> int:
@@ -140,9 +93,7 @@ def build_block(n_particles: int, coupling, parity: Parity) -> TridiagonalBlock:
     Real coupling gives a real symmetric block; complex coupling gives a
     complex symmetric one (the diagonal stays real either way).
     """
-    _check_n(n_particles)
-    sector = make_sector(n_particles, parity)
-    diag = sector.basis_m.astype(float)
+    diag = sector_basis(n_particles, parity)
     factors = ladder_couplings(n_particles, parity)
     g = complex(coupling)
     if g.imag == 0.0:
@@ -150,7 +101,7 @@ def build_block(n_particles: int, coupling, parity: Parity) -> TridiagonalBlock:
     else:
         offdiag = g * factors.astype(complex)
     return TridiagonalBlock(diag, offdiag, g if g.imag != 0.0 else g.real,
-                            n_particles, sector)
+                            n_particles, parity)
 
 
 def apply_scaled_hamiltonian(block: TridiagonalBlock, v: np.ndarray) -> np.ndarray:

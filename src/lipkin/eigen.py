@@ -21,13 +21,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .core import (
-    Parity,
-    ParitySector,
-    TridiagonalBlock,
-    ladder_couplings,
-    sector_basis,
-)
+from .core import Parity, TridiagonalBlock, ladder_couplings, sector_basis
+
 
 def _lex_sort(w: np.ndarray) -> np.ndarray:
     """Sort complex values by (real, imag) -- the deterministic output order."""
@@ -44,12 +39,6 @@ class EigenResult:
 
     values: np.ndarray = field(repr=False)
     vectors: np.ndarray | None = field(repr=False)
-    sector: ParitySector
-    coupling: complex
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
 
 
 def eig_real_tridiag(block: TridiagonalBlock, want_vectors: bool = False,
@@ -84,25 +73,18 @@ def eig_real_tridiag(block: TridiagonalBlock, want_vectors: bool = False,
         values = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
                                                **select)
         vectors = None
-    return EigenResult(values, vectors, block.sector, block.coupling)
+    return EigenResult(values, vectors)
 
 
-def dense_from_block(block: TridiagonalBlock) -> np.ndarray:
-    """Materialize the (small) dense matrix of a sector block."""
-    a = np.diag(block.diag.astype(block.offdiag.dtype if block.dimension > 1
-                                  else complex))
-    if block.dimension > 1:
-        a += np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
-    return a
-
-
-def eig_complex_tridiag(block: TridiagonalBlock) -> EigenResult:
-    """All eigenvalues of a complex-symmetric block.
+def eig_complex_tridiag(block: TridiagonalBlock) -> np.ndarray:
+    """All eigenvalues of a complex-symmetric block, by a dense solve of
+    the (small) block.
 
     Sorted lexicographically (real part, then imaginary part) so output
     is deterministic; the order carries no physical meaning.
     """
-    a = dense_from_block(block).astype(complex)
+    a = np.diag(block.diag.astype(complex))
+    a += np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
     try:
         values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -110,38 +92,13 @@ def eig_complex_tridiag(block: TridiagonalBlock) -> EigenResult:
             f"complex QR iteration did not converge (dim={block.dimension}, "
             f"coupling={block.coupling})"
         ) from exc
-    return EigenResult(_lex_sort(values), None, block.sector, block.coupling)
-
-
-@dataclass(frozen=True)
-class DetValue:
-    """det(H - E) in scaled form: value = mantissa * 2**exponent.
-
-    The E-derivative shares the exponent.  |mantissa| is kept in
-    [0.5, 2) unless the determinant is exactly zero.
-    """
-
-    mantissa: complex
-    exponent: int
-    derivative_mantissa: complex
-
-    @property
-    def log2_magnitude(self) -> float:
-        if self.mantissa == 0:
-            return -math.inf
-        return math.log2(abs(self.mantissa)) + self.exponent
-
-    @property
-    def log2_derivative_magnitude(self) -> float:
-        if self.derivative_mantissa == 0:
-            return -math.inf
-        return math.log2(abs(self.derivative_mantissa)) + self.exponent
+    return _lex_sort(values)
 
 
 class _DetState(NamedTuple):
     """Scaled determinant and its partials at one (E, g) point.
 
-    All mantissas share `exponent`; d2e_dg is the mixed E,g partial.
+    All mantissas share `exponent`; d_eg is the mixed E,g partial.
     """
 
     det: complex
@@ -195,38 +152,15 @@ def _det_derivatives(diag: np.ndarray, factors: np.ndarray, g: complex,
     return _DetState(d1, e1, f1, g1, m1, ex)
 
 
-def _block_det_inputs(block: TridiagonalBlock) -> tuple[np.ndarray, np.ndarray, complex]:
-    factors = ladder_couplings(block.n_particles, block.sector.parity)
-    return block.diag, factors, complex(block.coupling)
-
-
-def charpoly_det(block: TridiagonalBlock, energy: complex) -> DetValue:
-    """det(block - E I) and its E-derivative, overflow-safe.
-
-    The final mantissa is renormalized into [0.5, 2); the derivative
-    mantissa keeps the same exponent so ratios stay meaningful.
-    """
-    diag, factors, g = _block_det_inputs(block)
-    st = _det_derivatives(diag, factors, g, complex(energy))
-    det, d_e, ex = st.det, st.d_e, st.exponent
-    if det != 0:
-        k = math.frexp(abs(det))[1] - 1
-        s = math.ldexp(1.0, -k)
-        det *= s
-        d_e *= s
-        ex += k
-    return DetValue(det, ex, d_e)
-
-
-def det_state(block: TridiagonalBlock, energy: complex) -> _DetState:
-    """Full derivative bundle at (E, coupling); used by the EP solver."""
-    diag, factors, g = _block_det_inputs(block)
-    return _det_derivatives(diag, factors, g, complex(energy))
-
-
 def det_state_at(n_particles: int, parity: Parity, coupling: complex,
                  energy: complex) -> _DetState:
-    """Same as det_state without materializing a block (solver hot path)."""
+    """det(H - E) of one sector block and its partials in E and g.
+
+    Runs the recurrence straight off the sector's m-grid and ladder
+    factors, without materializing a block (solver hot path).  All
+    values share the power-of-two exponent in the result, so
+    det * 2**exponent is the determinant itself.
+    """
     diag = sector_basis(n_particles, parity)
     factors = ladder_couplings(n_particles, parity)
     return _det_derivatives(diag, factors, complex(coupling), complex(energy))

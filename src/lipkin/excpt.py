@@ -33,6 +33,9 @@ from .eigen import SolverError, det_state_at, eig_complex_tridiag, eig_real_trid
 _DEDUP_RADIUS = 1e-6
 _RESIDUAL_LIMIT = 1e-8
 _SPURIOUS_IM = 1e-9
+_NEWTON_MAX_ITER = 80
+#: seeding-grid cells per unit of coupling in near_real_ep_count
+_NEAR_REAL_GRID_PER_UNIT = 90
 
 #: near-real counting thresholds calibrated against scanned EP families;
 #: finite-N EPs sit off the axis (minimum Im g* ~ 1.4 at N=8, ~0.29 at
@@ -103,7 +106,7 @@ def _residual_certificate(n: int, parity: Parity, g: complex,
 
 
 def ep_refine(n_particles: int, sector: Parity, lambda_seed: complex,
-              energy_seed: complex, max_iter: int = 80) -> ExceptionalPoint:
+              energy_seed: complex) -> ExceptionalPoint:
     """Newton-refine a branch-point candidate.
 
     Solves (det, d_E det) = (0, 0) in the two complex unknowns (E, g)
@@ -117,7 +120,7 @@ def ep_refine(n_particles: int, sector: Parity, lambda_seed: complex,
             and math.isfinite(energy.real) and math.isfinite(energy.imag)):
         raise EpConvergenceError("seeds must be finite")
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         st = det_state_at(n_particles, sector, g, energy)
         jac = np.array([[st.d_e, st.d_g], [st.d_ee, st.d_eg]])
         rhs = np.array([st.det, st.d_e])
@@ -140,7 +143,7 @@ def ep_refine(n_particles: int, sector: Parity, lambda_seed: complex,
             break
     if not converged:
         raise EpConvergenceError(
-            f"no convergence in {max_iter} iterations from seed "
+            f"no convergence in {_NEWTON_MAX_ITER} iterations from seed "
             f"g={lambda_seed}, E={energy_seed}"
         )
     if abs(g.imag) < _SPURIOUS_IM:
@@ -199,7 +202,7 @@ def ep_scan(n_particles: int, sector: Parity,
         for ix, a in enumerate(xs):
             block = build_block(n_particles, a + 1j * b, sector)
             try:
-                w = eig_complex_tridiag(block).values
+                w = eig_complex_tridiag(block)
             except SolverError:
                 continue
             if len(w) < 2:
@@ -249,7 +252,7 @@ def _track_pair(n: int, sector: Parity, lam: complex, energy: complex,
     for t in range(1, steps + 1):
         g = lam.real + 1j * lam.imag * ratio ** t
         block = build_block(n, g, sector)
-        w = eig_complex_tridiag(block).values
+        w = eig_complex_tridiag(block)
         if current is None:
             order = np.argsort(np.abs(w - energy))
             idx = [int(order[0]), int(order[1])]
@@ -269,26 +272,24 @@ def _track_pair(n: int, sector: Parity, lam: complex, energy: complex,
     return current
 
 
-def ep_pair_id(ep: ExceptionalPoint, steps: int = 60,
-               ratio: float = 0.5) -> tuple[int, int]:
+def ep_pair_id(ep: ExceptionalPoint) -> tuple[int, int]:
     """Identify which two sector levels an EP connects.
 
     Walks the coupling from g* straight down to the real axis, halving
-    Im g each step (at least 40 steps) and tracking the two
-    nearly-degenerate eigenvalues by continuity; the endpoints are then
-    matched against the real sector spectrum at Re g*.  EPs with
-    Re E* > 0 are folded to their E -> -E mirror first so the reported
-    pair always sits in the lower half of the spectrum.  If the tracked
-    endpoints are not adjacent levels the walk is retried with a finer
-    step before giving up.
+    Im g each step for 60 steps and tracking the two nearly-degenerate
+    eigenvalues by continuity; the endpoints are then matched against
+    the real sector spectrum at Re g*.  EPs with Re E* > 0 are folded to
+    their E -> -E mirror first so the reported pair always sits in the
+    lower half of the spectrum.  If the tracked endpoints are not
+    adjacent levels the walk is retried with a finer step (factor
+    sqrt(1/2), 180 steps) before giving up.
     """
-    steps = max(40, steps)
     energy = ep.energy_star
     if energy.real > 0:
         energy = -energy
     real_block = build_block(ep.n_particles, ep.lambda_star.real, ep.sector)
     real_levels = eig_real_tridiag(real_block).values
-    for n_steps, r in [(steps, ratio), (3 * steps, math.sqrt(ratio))]:
+    for n_steps, r in [(60, 0.5), (180, math.sqrt(0.5))]:
         tracked = _track_pair(ep.n_particles, ep.sector, ep.lambda_star,
                               energy, n_steps, r)
         ks = sorted(int(np.argmin(np.abs(real_levels - t.real)))
@@ -302,8 +303,7 @@ def ep_pair_id(ep: ExceptionalPoint, steps: int = 60,
 
 
 def near_real_ep_count(n_particles: int, lambda_max: float,
-                       im_tol: float | None = None,
-                       grid_per_unit: int = 90) -> int:
+                       im_tol: float | None = None) -> int:
     """Count EPs accumulating along the real axis in (1, lambda_max).
 
     Both sectors are scanned and combined; conjugate mirrors (and the
@@ -316,8 +316,8 @@ def near_real_ep_count(n_particles: int, lambda_max: float,
         raise ValueError("lambda_max must exceed 1")
     tol = default_im_tol(n_particles) if im_tol is None else float(im_tol)
     height = tol * 1.05
-    nx = max(40, int(round(grid_per_unit * (lambda_max - 1.0))))
-    ny = max(24, int(round(grid_per_unit * height)))
+    nx = max(40, int(round(_NEAR_REAL_GRID_PER_UNIT * (lambda_max - 1.0))))
+    ny = max(24, int(round(_NEAR_REAL_GRID_PER_UNIT * height)))
     lam_values: list[complex] = []
     for sector in (Parity.EVEN, Parity.ODD):
         if len(sector_basis(n_particles, sector)) < 2:
@@ -325,13 +325,22 @@ def near_real_ep_count(n_particles: int, lambda_max: float,
         eps = ep_scan(n_particles, sector, (1.0, lambda_max, 0.0, height),
                       (nx, ny))
         lam_values.extend(ep.lambda_star for ep in eps)
-    count = 0
+    return _near_real_count(lam_values, lambda_max, tol)
+
+
+def _near_real_count(couplings, lambda_max: float, im_tol: float) -> int:
+    """Number of distinct branch couplings g* with 1 < Re g* < lambda_max
+    and |Im g*| < im_tol.
+
+    Couplings within the dedup radius count once, so the two sectors of
+    an odd N, whose blocks mirror each other and share every g*, do not
+    double-count.
+    """
     seen: list[complex] = []
-    for lam in sorted(lam_values, key=lambda z: (z.real, z.imag)):
-        if not (1.0 < lam.real < lambda_max and abs(lam.imag) < tol):
+    for lam in sorted(couplings, key=lambda z: (z.real, z.imag)):
+        if not (1.0 < lam.real < lambda_max and abs(lam.imag) < im_tol):
             continue
         if any(abs(lam - s) < _DEDUP_RADIUS for s in seen):
             continue
         seen.append(lam)
-        count += 1
-    return count
+    return len(seen)

@@ -17,12 +17,11 @@ was never fitted to.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import ScaledSpectrum
+from .analysis import ScaledSpectrum, spectral_derivative
 
 DEFAULT_WINDOW = (0.02, 0.15)
 
@@ -35,9 +34,7 @@ class FitError(ValueError):
 class SingularityFit:
     """One-sided fit result.
 
-    coefficients[p-1] multiplies (x-x_c)^2 (ln|x-x_c|)^p; when the
-    analytic quadratic term is enabled its coefficient is stored
-    separately in a0 (None otherwise).
+    coefficients[p-1] multiplies (x-x_c)^2 (ln|x-x_c|)^p.
     """
 
     x_c: float
@@ -45,7 +42,6 @@ class SingularityFit:
     coefficients: np.ndarray = field(repr=False)
     rms_residual: float
     window: tuple[float, float]
-    a0: float | None = None
 
     @property
     def n_terms(self) -> int:
@@ -59,18 +55,16 @@ def _check_side(side: str) -> str:
 
 
 def window_points(ss: ScaledSpectrum, x_c: float, side: str,
-                  window: tuple[float, float] = DEFAULT_WINDOW,
-                  exclusion: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  window: tuple[float, float] = DEFAULT_WINDOW) -> tuple[np.ndarray, np.ndarray]:
     """Select (x, y = eps+1) on one side of x_c within the fit window.
 
-    Points closer to x_c than the exclusion radius (default one level
-    spacing, 2/N) are dropped: the discrete spectrum cannot resolve the
-    singularity below its own spacing.
+    Points closer to x_c than one level spacing, 2/N, are dropped: the
+    discrete spectrum cannot resolve the singularity below its own
+    spacing.
     """
     _check_side(side)
     lo, hi = window
-    if exclusion is None:
-        exclusion = 2.0 / ss.n_particles
+    exclusion = 2.0 / ss.n_particles
     t = ss.x - x_c
     onside = t < 0 if side == "left" else t > 0
     dist = np.abs(t)
@@ -78,26 +72,21 @@ def window_points(ss: ScaledSpectrum, x_c: float, side: str,
     return ss.x[sel], ss.eps[sel] + 1.0
 
 
-def _basis(t: np.ndarray, n_terms: int, include_quadratic: bool) -> np.ndarray:
+def _basis(t: np.ndarray, n_terms: int) -> np.ndarray:
     log_t = np.log(np.abs(t))
-    cols = [t * t * log_t ** p for p in range(1, n_terms + 1)]
-    if include_quadratic:
-        cols.insert(0, t * t)
-    return np.stack(cols, axis=1)
+    return np.stack([t * t * log_t ** p for p in range(1, n_terms + 1)],
+                    axis=1)
 
 
 def fit_singularity(x: np.ndarray, y: np.ndarray, x_c: float, side: str,
                     n_terms: int = 3,
-                    include_quadratic: bool = False,
                     window: tuple[float, float] = DEFAULT_WINDOW) -> SingularityFit:
     """Least-squares fit of the log-power model on one side of x_c.
 
     x, y must already be windowed (see window_points); y is the shifted
     curve eps + 1.  The solve orthogonalizes the design matrix (SVD via
     lstsq) rather than forming normal equations -- the log-power basis
-    is badly scaled.  include_quadratic adds the analytic a0 (x-x_c)^2
-    diagnostic column; it is off by default and the fidelity-first
-    configuration everywhere in this package.
+    is badly scaled.
     """
     _check_side(side)
     if not 1 <= n_terms <= 3:
@@ -107,33 +96,28 @@ def fit_singularity(x: np.ndarray, y: np.ndarray, x_c: float, side: str,
     t = x - x_c
     if side == "left" and (t >= 0).any() or side == "right" and (t <= 0).any():
         raise ValueError(f"all points must lie strictly on the {side} of x_c")
-    n_cols = n_terms + (1 if include_quadratic else 0)
-    if len(x) < n_cols:
+    if len(x) < n_terms:
         raise FitError(
-            f"{len(x)} points cannot determine {n_cols} coefficients"
+            f"{len(x)} points cannot determine {n_terms} coefficients"
         )
-    design = _basis(t, n_terms, include_quadratic)
+    design = _basis(t, n_terms)
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < n_cols:
+    if rank < n_terms:
         raise FitError(
-            f"design matrix rank {rank} < {n_cols}: degenerate window"
+            f"design matrix rank {rank} < {n_terms}: degenerate window"
         )
     resid = design @ coef - y
     rms = float(np.sqrt(np.mean(resid * resid)))
-    a0 = float(coef[0]) if include_quadratic else None
-    log_coef = coef[1:] if include_quadratic else coef
-    return SingularityFit(float(x_c), side, np.asarray(log_coef, dtype=float),
-                          rms, tuple(window), a0)
+    return SingularityFit(float(x_c), side, np.asarray(coef, dtype=float),
+                          rms, tuple(window))
 
 
 def fit_spectrum_side(ss: ScaledSpectrum, x_c: float, side: str,
                       n_terms: int = 3,
-                      window: tuple[float, float] = DEFAULT_WINDOW,
-                      include_quadratic: bool = False,
-                      exclusion: float | None = None) -> SingularityFit:
+                      window: tuple[float, float] = DEFAULT_WINDOW) -> SingularityFit:
     """Window a scaled spectrum and fit it in one call."""
-    x, y = window_points(ss, x_c, side, window, exclusion)
-    return fit_singularity(x, y, x_c, side, n_terms, include_quadratic, window)
+    x, y = window_points(ss, x_c, side, window)
+    return fit_singularity(x, y, x_c, side, n_terms, window)
 
 
 def _eval_terms(fit: SingularityFit, x: np.ndarray):
@@ -155,8 +139,6 @@ def fit_eval(fit: SingularityFit, x) -> np.ndarray | float:
     for p, a in enumerate(fit.coefficients, start=1):
         y += a * log_t ** p
     y *= t * t
-    if fit.a0 is not None:
-        y += fit.a0 * t * t
     return float(y[0]) if scalar else y
 
 
@@ -167,8 +149,6 @@ def fit_derivative(fit: SingularityFit, x) -> np.ndarray | float:
     d = np.zeros_like(t)
     for p, a in enumerate(fit.coefficients, start=1):
         d += a * (2.0 * t * log_t ** p + p * t * log_t ** (p - 1))
-    if fit.a0 is not None:
-        d += 2.0 * fit.a0 * t
     return float(d[0]) if scalar else d
 
 
@@ -181,27 +161,21 @@ def fit_second_derivative(fit: SingularityFit, x) -> np.ndarray | float:
         d += a * (2.0 * log_t ** p + 3.0 * p * log_t ** (p - 1))
         if p >= 2:
             d += a * p * (p - 1) * log_t ** (p - 2)
-    if fit.a0 is not None:
-        d += 2.0 * fit.a0
     return float(d[0]) if scalar else d
 
 
-def derivative_comparison(fit: SingularityFit, ss: ScaledSpectrum,
-                          inner: float = 0.02, outer: float = 0.1,
-                          stride: int | None = None) -> dict:
+def derivative_comparison(fit: SingularityFit, ss: ScaledSpectrum) -> dict:
     """Acid test: fitted derivative against finite differences.
 
-    Compares on fit.side of x_c for inner <= |x - x_c| <= outer and
+    Compares on fit.side of x_c for 0.02 <= |x - x_c| <= 0.1 and
     reports pointwise relative deviations plus their max and rms.  The
     finite differences use the doublet-aware default stride of
     spectral_derivative.
     """
-    from .analysis import spectral_derivative
-
-    xm, slope = spectral_derivative(ss, stride)
+    xm, slope = spectral_derivative(ss)
     t = xm - fit.x_c
     onside = t < 0 if fit.side == "left" else t > 0
-    sel = onside & (np.abs(t) >= inner) & (np.abs(t) <= outer)
+    sel = onside & (np.abs(t) >= 0.02) & (np.abs(t) <= 0.1)
     if not sel.any():
         raise ValueError("no finite-difference points in the test band")
     x_sel = xm[sel]

@@ -115,6 +115,9 @@ def test_critical_x_values():
     assert critical_x(123, 1.0) == 0.0
     with pytest.raises(NoCrossingError):
         critical_x(100, 0.5)
+    for n in (2, 4):  # every lower-half level lies below the line
+        with pytest.raises(NoCrossingError):
+            critical_x(n, 5.0)
     # frozen from an N-refinement run: x_c changes < 1e-3 beyond N=2000
     assert critical_x(2000, 10.0) == pytest.approx(0.7467871764655691,
                                                    abs=1e-3)
@@ -204,7 +207,7 @@ def test_scaling_sweeps_solve_only_the_requested_sector(monkeypatch):
 
     def counting_solver(block, *args, **kwargs):
         res = real_solver(block, *args, **kwargs)
-        solves.append((block.sector.parity, len(res.values)))
+        solves.append((block.parity, len(res.values)))
         return res
 
     def no_full_spectrum(*args, **kwargs):

@@ -121,6 +121,15 @@ def test_fit_command_json():
     assert doc["results"]["x_c"] == pytest.approx(0.58, abs=0.02)
 
 
+@pytest.mark.parametrize("n", ["2", "4"])
+def test_fit_without_resolved_crossing_is_numerical_failure(n):
+    # every lower-half level lies below the critical line
+    code, out, err = run_cli(["fit", "--n", n, "--lambda", "5"])
+    assert code == 3
+    assert out == ""
+    assert "critical line" in err
+
+
 def test_fit_below_transition_is_numerical_failure(tmp_path):
     target = tmp_path / "out.csv"
     code, _, err = run_cli(["fit", "--n", "100", "--lambda", "0.5",
@@ -240,6 +249,11 @@ def test_bad_scaling_input_is_usage_error_before_any_solve(argv, monkeypatch):
     ["eps", "--n", "4", "--re-max", "3", "--im-max", "-1"],
     ["eps", "--n", "4", "--re-min", "3", "--re-max", "1", "--im-max", "1"],
     ["eps", "--n", "4", "--re-max", "3", "--im-min", "-1", "--im-max", "1"],
+    ["gaps", "--n", "1", "--lambda", "1"],
+    ["gaps", "--n", "2", "--lambda", "1", "--sector", "odd"],
+    ["spectrum", "--n", "1", "--lambda", "1", "--derivative"],
+    ["spectrum", "--n", "2", "--lambda", "1", "--sector", "odd",
+     "--derivative"],
 ])
 def test_bad_input_is_usage_error(argv):
     assert exit_code(argv) == 2
@@ -247,11 +261,10 @@ def test_bad_input_is_usage_error(argv):
 
 def test_non_finite_json_result_is_numerical_failure(tmp_path, monkeypatch):
     import lipkin.cli
-    from lipkin.analysis import ScalingLaw, ScalingReport
+    from lipkin.analysis import ScalingReport
 
     def nan_report(coupling, n_list):
-        return ScalingReport(ScalingLaw.EQ3_RATIO, [(64, math.nan)],
-                             [math.nan])
+        return ScalingReport([(64, math.nan)], [math.nan])
 
     monkeypatch.setattr(lipkin.cli, "gap_ratio_eq3", nan_report)
     target = tmp_path / "out.json"
@@ -281,3 +294,40 @@ def test_localization_solves_its_block_once(monkeypatch):
     assert code == 0
     assert calls == [True]
     assert json.loads(out)["results"]["critical_level"] >= 1
+
+
+def test_eps_near_real_count_dedups_mirror_sectors():
+    # for odd N the two sector blocks mirror each other and share every
+    # branch coupling, which must count once, as in near_real_ep_count
+    from lipkin import near_real_ep_count
+
+    code, out, _ = run_cli(["eps", "--n", "9", "--re-min", "1",
+                            "--re-max", "2", "--im-max", "1.6",
+                            "--grid", "90", "--im-tol", "1.5", "--no-pairs",
+                            "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)["results"]
+    sectors = {row["sector"] for row in doc["rows"]}
+    assert sectors == {"even", "odd"}
+    assert doc["near_real_count"] == 1
+    assert near_real_ep_count(9, 2.0, 1.5) == 1
+
+
+def test_benchmark_tracer_binding_names():
+    # bench/tracing.py hooks these names and argument names; after a
+    # rename its per-layer counters would silently read 0
+    import inspect
+
+    import lipkin.cli
+    import lipkin.eigen
+    import lipkin.excpt
+    from lipkin import Parity, build_block
+
+    assert lipkin.excpt.det_state_at is lipkin.eigen.det_state_at
+    params = inspect.signature(lipkin.eigen.det_state_at).parameters
+    assert {"n_particles", "parity"} <= set(params)
+    solver = lipkin.eigen.eig_real_tridiag
+    assert "want_vectors" in inspect.signature(solver).parameters
+    assert len(solver(build_block(4, 1.0, Parity.EVEN)).values) == 3
+    assert "grid" in inspect.signature(lipkin.excpt.ep_scan).parameters
+    assert callable(lipkin.cli.full_spectrum)

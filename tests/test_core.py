@@ -4,24 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from lipkin import (
     Parity,
-    SpinRepresentation,
     apply_scaled_hamiltonian,
     build_block,
-    n_parity_label,
     sector_basis,
 )
 
 from oracles import dense_sector_block, full_m_grid
 
 LAMBDA_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
-
-
-def test_spin_representation_invariants():
-    rep = SpinRepresentation(7)
-    assert rep.dimension == 8
-    assert rep.spin_j == 3.5
-    with pytest.raises(ValueError):
-        SpinRepresentation(0)
 
 
 def test_sector_basis_examples():
@@ -31,8 +21,6 @@ def test_sector_basis_examples():
     # N=5: the class containing m = -j (physically labelled "odd" since
     # N is odd, neutrally labelled EVEN here)
     assert list(sector_basis(5, Parity.EVEN)) == [-2.5, -0.5, 1.5]
-    assert n_parity_label(5, Parity.EVEN) == "odd"
-    assert n_parity_label(4, Parity.EVEN) == "even"
 
 
 def test_sector_basis_rejects_zero():

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 from lipkin import (
     Parity,
     build_block,
-    charpoly_det,
     eig_complex_tridiag,
     eig_real_tridiag,
 )
-from lipkin.eigen import det_state
+from lipkin.eigen import det_state_at
 
 from oracles import dense_sector_block
 
@@ -69,19 +68,19 @@ def test_eigenvector_residuals_and_orthonormality():
     res = eig_real_tridiag(block, want_vectors=True)
     dense = np.diag(block.diag) + np.diag(block.offdiag, 1) \
         + np.diag(block.offdiag, -1)
-    for k in range(res.dimension):
+    for k in range(len(res.values)):
         v = res.vectors[:, k]
         e = res.values[k]
         assert np.linalg.norm(dense @ v - e * v) <= 1e-10 * max(1.0, abs(e))
     gram = res.vectors.T @ res.vectors
-    assert np.max(np.abs(gram - np.eye(res.dimension))) <= 1e-10
+    assert np.max(np.abs(gram - np.eye(len(res.values)))) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 40])
 def test_real_solver_index_range_picks_levels(n):
     block = build_block(n, 1.7, Parity.EVEN)
     full = eig_real_tridiag(block, want_vectors=True)
-    dim = full.dimension
+    dim = len(full.values)
     for lo, hi in {(0, 0), (0, min(1, dim - 1)), (dim - 1, dim - 1)}:
         part = eig_real_tridiag(block, want_vectors=True, index_range=(lo, hi))
         assert np.allclose(part.values, full.values[lo:hi + 1],
@@ -96,21 +95,21 @@ def test_real_solver_index_range_picks_levels(n):
 
 def test_complex_solver_analytic_coalescence():
     # 2x2 even block of N=2: eigenvalues +-sqrt(1 + g^2/4)
-    values = eig_complex_tridiag(build_block(2, 2.0j, Parity.EVEN)).values
+    values = eig_complex_tridiag(build_block(2, 2.0j, Parity.EVEN))
     assert np.max(np.abs(values)) <= 1e-7  # defective double zero
 
-    values = eig_complex_tridiag(build_block(2, 1.0j, Parity.EVEN)).values
+    values = eig_complex_tridiag(build_block(2, 1.0j, Parity.EVEN))
     root = math.sqrt(0.75)
     assert np.allclose(values, [-root, root], atol=1e-12)
 
     values = eig_complex_tridiag(build_block(4, (4.0 / 3.0) * 1j,
-                                             Parity.ODD)).values
+                                             Parity.ODD))
     assert np.max(np.abs(values)) <= 1e-7
 
 
 def test_complex_solver_output_is_lexicographically_sorted():
     values = eig_complex_tridiag(build_block(12, 0.8 + 1.3j,
-                                             Parity.EVEN)).values
+                                             Parity.EVEN))
     key = np.lexsort((values.imag, values.real))
     assert np.array_equal(key, np.arange(len(values)))
 
@@ -122,7 +121,7 @@ def test_complex_solver_matches_dense_oracle(n):
         block = build_block(n, g, parity)
         if block.dimension < 2:
             continue
-        values = _sorted_complex(eig_complex_tridiag(block).values)
+        values = _sorted_complex(eig_complex_tridiag(block))
         oracle = _sorted_complex(np.linalg.eigvals(
             dense_sector_block(n, g, even)))
         assert np.max(np.abs(values - oracle)) <= 1e-9
@@ -143,38 +142,34 @@ def test_complex_spectrum_reversal_invariance():
 @settings(max_examples=25, deadline=None)
 def test_conjugation_and_sign_symmetries(re, im):
     g = complex(re, im)
-    w = eig_complex_tridiag(build_block(8, g, Parity.EVEN)).values
+    w = eig_complex_tridiag(build_block(8, g, Parity.EVEN))
     w_conj = eig_complex_tridiag(build_block(8, g.conjugate(),
-                                             Parity.EVEN)).values
+                                             Parity.EVEN))
     assert multiset_distance(w.conjugate(), w_conj) <= 1e-9
-    w_neg = eig_complex_tridiag(build_block(8, -g, Parity.EVEN)).values
+    w_neg = eig_complex_tridiag(build_block(8, -g, Parity.EVEN))
     assert multiset_distance(w, w_neg) <= 1e-9
 
 
-def test_charpoly_examples():
-    block = build_block(2, 1.0, Parity.EVEN)
-    dv = charpoly_det(block, 0.0)
-    assert dv.mantissa * 2.0**dv.exponent == pytest.approx(-1.25, abs=1e-14)
-    assert abs(dv.derivative_mantissa) <= 1e-14
+def determinant(st):
+    """The determinant a scaled recurrence state stands for."""
+    return st.det * 2.0**st.exponent
 
-    block = build_block(2, 2.0j, Parity.EVEN)
-    dv = charpoly_det(block, 0.0)
-    assert abs(dv.mantissa) * 2.0**dv.exponent <= 1e-14
-    assert abs(dv.derivative_mantissa) * 2.0**max(dv.exponent, 0) <= 1e-13
+
+def test_charpoly_examples():
+    st = det_state_at(2, Parity.EVEN, 1.0, 0.0)
+    assert determinant(st) == pytest.approx(-1.25, abs=1e-14)
+    assert abs(st.d_e) <= 1e-14
+
+    st = det_state_at(2, Parity.EVEN, 2.0j, 0.0)
+    assert abs(determinant(st)) <= 1e-14
+    assert abs(st.d_e) * 2.0**max(st.exponent, 0) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 10])
 def test_charpoly_sign_at_large_positive_energy(n):
-    block = build_block(n, 1.5, Parity.EVEN)
-    dv = charpoly_det(block, 1e4)
-    expected_sign = (-1.0) ** block.dimension
-    assert np.sign(dv.mantissa.real) == expected_sign
-
-
-def test_charpoly_mantissa_normalization():
-    block = build_block(50, 2.5, Parity.EVEN)
-    dv = charpoly_det(block, 0.3 + 0.1j)
-    assert 0.5 <= abs(dv.mantissa) < 2.0
+    st = det_state_at(n, Parity.EVEN, 1.5, 1e4)
+    dimension = build_block(n, 1.5, Parity.EVEN).dimension
+    assert np.sign(st.det.real) == (-1.0) ** dimension
 
 
 @pytest.mark.parametrize("g", [1.3, 0.4 + 0.9j])
@@ -182,37 +177,34 @@ def test_charpoly_matches_dense_determinant(g):
     for n in [2, 5, 9]:
         block = build_block(n, g, Parity.EVEN)
         energy = 0.37 - 0.21j
-        dv = charpoly_det(block, energy)
         a = np.diag(block.diag.astype(complex))
         if block.dimension > 1:
             a += np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
         direct = np.linalg.det(a - energy * np.eye(block.dimension))
-        assert dv.mantissa * 2.0**dv.exponent == pytest.approx(
-            direct, rel=1e-10)
+        assert determinant(det_state_at(n, Parity.EVEN, g, energy)) \
+            == pytest.approx(direct, rel=1e-10)
 
 
 def test_charpoly_vanishes_at_computed_eigenvalues():
-    block = build_block(24, 1.8, Parity.EVEN)
-    values = eig_real_tridiag(block).values
+    n, g = 24, 1.8
+    values = eig_real_tridiag(build_block(n, g, Parity.EVEN)).values
     span = values[-1] - values[0]
-    probe = charpoly_det(block, values[3] + 0.05 * span)
-    scale = abs(probe.mantissa) * 2.0**probe.exponent
+    scale = abs(determinant(det_state_at(n, Parity.EVEN, g,
+                                         values[3] + 0.05 * span)))
     for e in values:
-        dv = charpoly_det(block, e)
-        assert abs(dv.mantissa) * 2.0**dv.exponent <= 1e-8 * scale
+        assert abs(determinant(det_state_at(n, Parity.EVEN, g, e))) \
+            <= 1e-8 * scale
 
 
 def test_charpoly_energy_derivative_against_finite_differences():
-    block = build_block(14, 0.9 + 0.4j, Parity.ODD)
+    n, parity = 14, Parity.ODD
+    g = 0.9 + 0.4j
     energy = 0.6 + 0.2j
     h = 1e-6
-    d_plus = charpoly_det(block, energy + h)
-    d_minus = charpoly_det(block, energy - h)
-    dv = charpoly_det(block, energy)
-    fd = (d_plus.mantissa * 2.0**d_plus.exponent
-          - d_minus.mantissa * 2.0**d_minus.exponent) / (2.0 * h)
-    analytic = dv.derivative_mantissa * 2.0**dv.exponent
-    assert analytic == pytest.approx(fd, rel=1e-7)
+    st = det_state_at(n, parity, g, energy)
+    fd = (determinant(det_state_at(n, parity, g, energy + h))
+          - determinant(det_state_at(n, parity, g, energy - h))) / (2.0 * h)
+    assert st.d_e * 2.0**st.exponent == pytest.approx(fd, rel=1e-7)
 
 
 def test_det_state_coupling_derivative_against_finite_differences():
@@ -220,10 +212,7 @@ def test_det_state_coupling_derivative_against_finite_differences():
     g = 1.2 + 0.8j
     energy = -0.7 + 0.1j
     h = 1e-6
-    st0 = det_state(build_block(n, g, parity), energy)
-    st_p = det_state(build_block(n, g + h, parity), energy)
-    st_m = det_state(build_block(n, g - h, parity), energy)
-    fd = (st_p.det * 2.0**st_p.exponent
-          - st_m.det * 2.0**st_m.exponent) / (2.0 * h)
-    analytic = st0.d_g * 2.0**st0.exponent
-    assert analytic == pytest.approx(fd, rel=1e-6)
+    st = det_state_at(n, parity, g, energy)
+    fd = (determinant(det_state_at(n, parity, g + h, energy))
+          - determinant(det_state_at(n, parity, g - h, energy))) / (2.0 * h)
+    assert st.d_g * 2.0**st.exponent == pytest.approx(fd, rel=1e-6)

@@ -14,11 +14,11 @@ from lipkin import (
     ep_scan,
     near_real_ep_count,
 )
-from lipkin.eigen import det_state
+from lipkin.eigen import det_state_at
 
 
 def closest_pair_gap(n, parity, g):
-    w = eig_complex_tridiag(build_block(n, g, parity)).values
+    w = eig_complex_tridiag(build_block(n, g, parity))
     d = np.abs(w[:, None] - w[None, :])
     d[np.diag_indices_from(d)] = np.inf
     return d.min()
@@ -88,7 +88,7 @@ def test_n4_even_triple_point_brute_force():
             if best is None or gap < best[0]:
                 best = (gap, g)
     assert abs(best[1] - target) < 0.05
-    w = eig_complex_tridiag(build_block(4, target, Parity.EVEN)).values
+    w = eig_complex_tridiag(build_block(4, target, Parity.EVEN))
     assert np.max(np.abs(w[:, None] - w[None, :])) < 1e-3
 
 
@@ -109,10 +109,9 @@ def test_scan_fourfold_symmetry():
 
 def test_residual_certificate_six_orders():
     ep = ep_refine(16, Parity.EVEN, 1.5 + 0.7j, 8.0 + 1.0j)
-    here = det_state(build_block(16, ep.lambda_star, Parity.EVEN),
-                     ep.energy_star)
-    there = det_state(build_block(16, ep.lambda_star + 0.01, Parity.EVEN),
-                      ep.energy_star)
+    here = det_state_at(16, Parity.EVEN, ep.lambda_star, ep.energy_star)
+    there = det_state_at(16, Parity.EVEN, ep.lambda_star + 0.01,
+                         ep.energy_star)
 
     def mag(z, ex):
         return abs(z) * 2.0 ** float(ex)
@@ -128,7 +127,7 @@ def test_square_root_separation_at_branch_point():
 
     def pair_gap(delta):
         w = eig_complex_tridiag(
-            build_block(16, ep.lambda_star + delta, Parity.EVEN)).values
+            build_block(16, ep.lambda_star + delta, Parity.EVEN))
         d = np.sort(np.abs(w - ep.energy_star))[:2]
         idx = np.argsort(np.abs(w - ep.energy_star))[:2]
         return abs(w[idx[0]] - w[idx[1]])

@@ -141,14 +141,3 @@ def test_coupling_variable_variant():
             & (np.abs(t) >= 0.02) & (np.abs(t) <= 0.15)
         fit = fit_singularity(lams[keep], y[keep], lam_c, side)
         assert fit.rms_residual <= 1e-3
-
-
-def test_quadratic_diagnostic_term_off_by_default():
-    x = 0.5 + np.linspace(0.02, 0.15, 80)
-    y = model_values(x, 0.5, [1.0, 0.3, 0.0]) + 0.7 * (x - 0.5) ** 2
-    plain = fit_singularity(x, y, 0.5, "right")
-    assert plain.a0 is None
-    with_a0 = fit_singularity(x, y, 0.5, "right", include_quadratic=True)
-    assert with_a0.a0 == pytest.approx(0.7, abs=1e-9)
-    assert np.allclose(with_a0.coefficients, [1.0, 0.3, 0.0], atol=1e-9)
-    assert with_a0.rms_residual < plain.rms_residual
