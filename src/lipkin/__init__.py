@@ -11,7 +11,6 @@ from .core import (
 )
 from .eigen import (
     EigenResult,
-    SolverError,
     eig_complex_tridiag,
     eig_real_tridiag,
 )

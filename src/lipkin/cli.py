@@ -36,7 +36,7 @@ from .analysis import (
     spectral_derivative,
 )
 from .core import Parity, build_block, sector_basis
-from .eigen import SolverError, eig_real_tridiag
+from .eigen import eig_real_tridiag
 from .excpt import EpConvergenceError, _near_real_count, ep_scan
 from .logfit import (
     DEFAULT_WINDOW,
@@ -461,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NoCrossingError, SolverError, EpConvergenceError, FitError,
+    except (NoCrossingError, EpConvergenceError, FitError,
             ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

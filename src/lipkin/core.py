@@ -74,7 +74,6 @@ class TridiagonalBlock:
 
     diag: np.ndarray = field(repr=False)
     offdiag: np.ndarray = field(repr=False)
-    coupling: complex
     n_particles: int
     parity: Parity
 
@@ -100,8 +99,7 @@ def build_block(n_particles: int, coupling, parity: Parity) -> TridiagonalBlock:
         offdiag = g.real * factors
     else:
         offdiag = g * factors.astype(complex)
-    return TridiagonalBlock(diag, offdiag, g if g.imag != 0.0 else g.real,
-                            n_particles, parity)
+    return TridiagonalBlock(diag, offdiag, n_particles, parity)
 
 
 def apply_scaled_hamiltonian(block: TridiagonalBlock, v: np.ndarray) -> np.ndarray:

@@ -4,8 +4,10 @@ Three routes, each matched to where it is used:
 
 * real coupling: LAPACK's symmetric-tridiagonal solver (implicit-shift
   QL/QR family) through scipy, O(dim) storage, handles dim ~ 10^4;
-* complex coupling: dense Hessenberg QR (LAPACK zgeev) on the block;
-  branch-point searches never exceed dim ~ 100, so dense is fine;
+* complex coupling: dense Hessenberg QR (LAPACK zgeev), with the
+  blocks of one sector at many couplings solved as one stack (they
+  differ only in g); branch-point searches never exceed dim ~ 100, so
+  dense is fine;
 * characteristic determinant: a three-term recurrence with power-of-two
   rescaling, differentiated simultaneously with respect to the energy
   and the coupling.  This is what the branch-point Newton solver runs
@@ -14,6 +16,7 @@ Three routes, each matched to where it is used:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,13 +27,22 @@ import scipy.linalg
 from .core import Parity, TridiagonalBlock, ladder_couplings, sector_basis
 
 
-def _lex_sort(w: np.ndarray) -> np.ndarray:
-    """Sort complex values by (real, imag) -- the deterministic output order."""
-    return w[np.lexsort((w.imag, w.real))]
+#: upper bound on the bytes of one dense stack handed to LAPACK at once
+_STACK_BYTES = 1 << 22
 
 
-class SolverError(RuntimeError):
-    """An eigenvalue iteration failed to converge."""
+@functools.lru_cache(maxsize=64)
+def _sector_arrays(n_particles: int, parity: Parity) -> tuple[np.ndarray, np.ndarray]:
+    """The m-grid and unit-coupling ladder factors of one sector.
+
+    Built once per (N, parity) and shared read-only by the complex
+    solver and the determinant recurrence, which only vary g and E.
+    """
+    diag = sector_basis(n_particles, parity)
+    factors = ladder_couplings(n_particles, parity)
+    diag.flags.writeable = False
+    factors.flags.writeable = False
+    return diag, factors
 
 
 @dataclass(frozen=True)
@@ -76,23 +88,49 @@ def eig_real_tridiag(block: TridiagonalBlock, want_vectors: bool = False,
     return EigenResult(values, vectors)
 
 
-def eig_complex_tridiag(block: TridiagonalBlock) -> np.ndarray:
-    """All eigenvalues of a complex-symmetric block, by a dense solve of
-    the (small) block.
+def eig_complex_tridiag(n_particles: int, parity: Parity,
+                        couplings) -> np.ndarray:
+    """All eigenvalues of one sector block at each coupling, as a
+    (len(couplings), dim) array.
 
-    Sorted lexicographically (real part, then imaginary part) so output
-    is deterministic; the order carries no physical meaning.
+    The blocks differ only in g, so they are assembled as one dense stack
+    and solved by one batched LAPACK call (in slices of at most
+    _STACK_BYTES).  Each row is sorted lexicographically (real part, then
+    imaginary part) so output is deterministic; the order carries no
+    physical meaning.  A block whose QR iteration does not converge gives
+    a row of NaN, and the other rows are unaffected.
     """
-    a = np.diag(block.diag.astype(complex))
-    a += np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
+    diag, factors = _sector_arrays(n_particles, parity)
+    g = np.asarray(couplings, dtype=complex).reshape(-1)
+    offdiag = g[:, None] * factors.astype(complex)
+    dim = len(diag)
+    i = np.arange(dim)
+    values = np.empty((len(g), dim), dtype=complex)
+    step = max(1, _STACK_BYTES // (16 * dim * dim))
+    for lo in range(0, len(g), step):
+        off = offdiag[lo:lo + step]
+        stack = np.zeros((len(off), dim, dim), dtype=complex)
+        stack[:, i, i] = diag
+        stack[:, i[:-1], i[1:]] = off
+        stack[:, i[1:], i[:-1]] = off
+        values[lo:lo + step] = _eigvals(stack)
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    return np.take_along_axis(values, order, axis=-1)
+
+
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals of a stack; if it fails, re-solve block by block
+    and leave a NaN row for each block that still fails."""
     try:
-        values = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"complex QR iteration did not converge (dim={block.dimension}, "
-            f"coupling={block.coupling})"
-        ) from exc
-    return _lex_sort(values)
+        return np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError:
+        rows = np.full(stack.shape[:2], np.nan, dtype=complex)
+        for k, a in enumerate(stack):
+            try:
+                rows[k] = np.linalg.eigvals(a)
+            except np.linalg.LinAlgError:
+                pass
+        return rows
 
 
 class _DetState(NamedTuple):
@@ -156,11 +194,10 @@ def det_state_at(n_particles: int, parity: Parity, coupling: complex,
                  energy: complex) -> _DetState:
     """det(H - E) of one sector block and its partials in E and g.
 
-    Runs the recurrence straight off the sector's m-grid and ladder
-    factors, without materializing a block (solver hot path).  All
+    Runs the recurrence straight off the sector's cached m-grid and
+    ladder factors, without materializing a block (solver hot path).  All
     values share the power-of-two exponent in the result, so
     det * 2**exponent is the determinant itself.
     """
-    diag = sector_basis(n_particles, parity)
-    factors = ladder_couplings(n_particles, parity)
+    diag, factors = _sector_arrays(n_particles, parity)
     return _det_derivatives(diag, factors, complex(coupling), complex(energy))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Parity, build_block, sector_basis
-from .eigen import SolverError, det_state_at, eig_complex_tridiag, eig_real_tridiag
+from .eigen import det_state_at, eig_complex_tridiag, eig_real_tridiag
 
 _DEDUP_RADIUS = 1e-6
 _RESIDUAL_LIMIT = 1e-8
@@ -163,13 +163,21 @@ def ep_refine(n_particles: int, sector: Parity, lambda_seed: complex,
     return ExceptionalPoint(g, energy, sector, n_particles, residual)
 
 
-def _min_gap_pair(values: np.ndarray) -> tuple[float, complex]:
-    """Smallest pairwise distance among complex eigenvalues and the
-    midpoint of the closest pair."""
-    d = np.abs(values[:, None] - values[None, :])
-    d[np.diag_indices_from(d)] = np.inf
-    i, j = np.unravel_index(np.argmin(d), d.shape)
-    return float(d[i, j]), 0.5 * (values[i] + values[j])
+def _closest_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of complex eigenvalues: the smallest pairwise distance and
+    the midpoint of the closest pair (on ties, the first in row-major
+    order of the distance matrix).  A NaN row (failed solve) gets an
+    infinite distance."""
+    n_rows, dim = rows.shape
+    d = np.abs(rows[:, :, None] - rows[:, None, :])
+    d[:, np.arange(dim), np.arange(dim)] = np.inf
+    d = d.reshape(n_rows, dim * dim)
+    k = np.argmin(d, axis=1)
+    r = np.arange(n_rows)
+    i, j = np.divmod(k, dim)
+    gap = d[r, k]
+    gap[np.isnan(gap)] = np.inf
+    return gap, 0.5 * (rows[r, i] + rows[r, j])
 
 
 def ep_scan(n_particles: int, sector: Parity,
@@ -181,8 +189,9 @@ def ep_scan(n_particles: int, sector: Parity,
 
     region is (re_min, re_max, im_min, im_max) with im_min >= 0.  The
     rectangle is tiled into grid cells; at each cell center the complex
-    spectrum is computed and cells where the two closest eigenvalues dip
-    to a local minimum seed the Newton refinement.  Cell centers carry
+    spectrum is computed, one stacked solve per grid row, and cells where
+    the two closest eigenvalues dip to a local minimum seed the Newton
+    refinement.  A cell whose solve fails is skipped.  Cell centers carry
     strictly positive imaginary part, which matters: a Newton iterate
     seeded exactly on the real axis could never leave it.  Results are
     deduplicated (1e-6 in g) and sorted by (Re g*, Im g*).
@@ -196,42 +205,33 @@ def ep_scan(n_particles: int, sector: Parity,
         nx, ny = grid
     xs = re0 + (np.arange(nx) + 0.5) * (re1 - re0) / nx
     ys = im0 + (np.arange(ny) + 0.5) * (im1 - im0) / ny
-    gap = np.full((ny, nx), np.inf)
-    mid = np.zeros((ny, nx), dtype=complex)
+    gap = np.empty((ny, nx))
+    mid = np.empty((ny, nx), dtype=complex)
     for iy, b in enumerate(ys):
-        for ix, a in enumerate(xs):
-            block = build_block(n_particles, a + 1j * b, sector)
-            try:
-                w = eig_complex_tridiag(block)
-            except SolverError:
-                continue
-            if len(w) < 2:
-                continue
-            gap[iy, ix], mid[iy, ix] = _min_gap_pair(w)
+        rows = eig_complex_tridiag(n_particles, sector, xs + 1j * b)
+        gap[iy], mid[iy] = _closest_pairs(rows)
+    # a seed is a finite gap no larger than any of its (up to) 8 neighbours
+    padded = np.pad(gap, 1, constant_values=np.inf)
+    lowest = np.min([padded[dy:dy + ny, dx:dx + nx]
+                     for dy in range(3) for dx in range(3)], axis=0)
+    seeds = np.argwhere(np.isfinite(gap) & (gap <= lowest))
 
     found: list[ExceptionalPoint] = []
     pad = 0.02 * max(re1 - re0, im1 - im0)
-    for iy in range(ny):
-        for ix in range(nx):
-            g = gap[iy, ix]
-            if not np.isfinite(g):
-                continue
-            neighborhood = gap[max(0, iy - 1):iy + 2, max(0, ix - 1):ix + 2]
-            if g > neighborhood.min():
-                continue
-            try:
-                ep = ep_refine(n_particles, sector, xs[ix] + 1j * ys[iy],
-                               mid[iy, ix])
-            except EpConvergenceError:
-                continue
-            lam = ep.lambda_star
-            if not (re0 - pad <= lam.real <= re1 + pad
-                    and lam.imag <= im1 + pad):
-                continue
-            if any(abs(prev.lambda_star - lam) < _DEDUP_RADIUS
-                   for prev in found):
-                continue
-            found.append(ep)
+    for iy, ix in seeds:
+        try:
+            ep = ep_refine(n_particles, sector, xs[ix] + 1j * ys[iy],
+                           mid[iy, ix])
+        except EpConvergenceError:
+            continue
+        lam = ep.lambda_star
+        if not (re0 - pad <= lam.real <= re1 + pad
+                and lam.imag <= im1 + pad):
+            continue
+        if any(abs(prev.lambda_star - lam) < _DEDUP_RADIUS
+               for prev in found):
+            continue
+        found.append(ep)
     found.sort(key=lambda e: (e.lambda_star.real, e.lambda_star.imag))
     if identify_pairs:
         labelled = []
@@ -247,12 +247,18 @@ def ep_scan(n_particles: int, sector: Parity,
 def _track_pair(n: int, sector: Parity, lam: complex, energy: complex,
                 steps: int, ratio: float) -> np.ndarray:
     """Follow the two coalescing eigenvalues while Im g shrinks
-    geometrically, matching by distance to the previous pair."""
+    geometrically, matching by distance to the previous pair.  The whole
+    walk is one stacked solve; a failed solve anywhere on it is a
+    tracking failure."""
+    couplings = [lam.real + 1j * lam.imag * ratio ** t
+                 for t in range(1, steps + 1)]
+    rows = eig_complex_tridiag(n, sector, couplings)
+    if np.isnan(rows).any():
+        raise EpTrackingError(
+            f"eigensolve failed on the walk from g*={lam} toward the real axis"
+        )
     current = None
-    for t in range(1, steps + 1):
-        g = lam.real + 1j * lam.imag * ratio ** t
-        block = build_block(n, g, sector)
-        w = eig_complex_tridiag(block)
+    for w in rows:
         if current is None:
             order = np.argsort(np.abs(w - energy))
             idx = [int(order[0]), int(order[1])]
@@ -277,12 +283,14 @@ def ep_pair_id(ep: ExceptionalPoint) -> tuple[int, int]:
 
     Walks the coupling from g* straight down to the real axis, halving
     Im g each step for 60 steps and tracking the two nearly-degenerate
-    eigenvalues by continuity; the endpoints are then matched against
-    the real sector spectrum at Re g*.  EPs with Re E* > 0 are folded to
+    eigenvalues by continuity; the blocks of one walk are solved in one
+    stacked call.  The endpoints are then matched against the real
+    sector spectrum at Re g*.  EPs with Re E* > 0 are folded to
     their E -> -E mirror first so the reported pair always sits in the
     lower half of the spectrum.  If the tracked endpoints are not
     adjacent levels the walk is retried with a finer step (factor
-    sqrt(1/2), 180 steps) before giving up.
+    sqrt(1/2), 180 steps) before giving up.  A failed eigensolve on a
+    walk raises EpTrackingError at once.
     """
     energy = ep.energy_star
     if energy.real > 0:

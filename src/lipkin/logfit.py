@@ -41,11 +41,6 @@ class SingularityFit:
     side: str  # "left" or "right"
     coefficients: np.ndarray = field(repr=False)
     rms_residual: float
-    window: tuple[float, float]
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.coefficients)
 
 
 def _check_side(side: str) -> str:
@@ -79,8 +74,7 @@ def _basis(t: np.ndarray, n_terms: int) -> np.ndarray:
 
 
 def fit_singularity(x: np.ndarray, y: np.ndarray, x_c: float, side: str,
-                    n_terms: int = 3,
-                    window: tuple[float, float] = DEFAULT_WINDOW) -> SingularityFit:
+                    n_terms: int = 3) -> SingularityFit:
     """Least-squares fit of the log-power model on one side of x_c.
 
     x, y must already be windowed (see window_points); y is the shifted
@@ -109,7 +103,7 @@ def fit_singularity(x: np.ndarray, y: np.ndarray, x_c: float, side: str,
     resid = design @ coef - y
     rms = float(np.sqrt(np.mean(resid * resid)))
     return SingularityFit(float(x_c), side, np.asarray(coef, dtype=float),
-                          rms, tuple(window))
+                          rms)
 
 
 def fit_spectrum_side(ss: ScaledSpectrum, x_c: float, side: str,
@@ -117,7 +111,7 @@ def fit_spectrum_side(ss: ScaledSpectrum, x_c: float, side: str,
                       window: tuple[float, float] = DEFAULT_WINDOW) -> SingularityFit:
     """Window a scaled spectrum and fit it in one call."""
     x, y = window_points(ss, x_c, side, window)
-    return fit_singularity(x, y, x_c, side, n_terms, window)
+    return fit_singularity(x, y, x_c, side, n_terms)
 
 
 def _eval_terms(fit: SingularityFit, x: np.ndarray):

@@ -313,6 +313,34 @@ def test_eps_near_real_count_dedups_mirror_sectors():
     assert near_real_ep_count(9, 2.0, 1.5) == 1
 
 
+def test_eps_failed_solve_on_one_walk_blanks_only_that_pair(monkeypatch):
+    import lipkin.excpt
+
+    argv = ["eps", "--n", "16", "--re-max", "3", "--im-max", "3",
+            "--grid", "40"]
+    code, baseline, _ = run_cli(argv)
+    assert code == 0
+    rows = [line.split(",") for line in baseline.strip().split("\n")[1:]]
+    assert len(rows) > 2 and all(r[4] and r[5] for r in rows)
+    target = float(rows[1][0])
+    real_solver = lipkin.excpt.eig_complex_tridiag
+
+    def flaky(n, parity, couplings):
+        values = real_solver(n, parity, couplings)
+        g = np.asarray(couplings)
+        if len(g) > 1 and np.all(g.real == target):  # a walk from rows[1]
+            values[len(values) // 2] = np.nan
+        return values
+
+    monkeypatch.setattr(lipkin.excpt, "eig_complex_tridiag", flaky)
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    expected = [list(r) for r in rows]
+    expected[1][4] = expected[1][5] = ""
+    assert [line.split(",") for line in out.strip().split("\n")[1:]] \
+        == expected
+
+
 def test_benchmark_tracer_binding_names():
     # bench/tracing.py hooks these names and argument names; after a
     # rename its per-layer counters would silently read 0
@@ -324,6 +352,8 @@ def test_benchmark_tracer_binding_names():
     from lipkin import Parity, build_block
 
     assert lipkin.excpt.det_state_at is lipkin.eigen.det_state_at
+    assert lipkin.excpt.eig_complex_tridiag \
+        is lipkin.eigen.eig_complex_tridiag
     params = inspect.signature(lipkin.eigen.det_state_at).parameters
     assert {"n_particles", "parity"} <= set(params)
     solver = lipkin.eigen.eig_real_tridiag

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lipkin.eigen
 from lipkin import (
     Parity,
     build_block,
     eig_complex_tridiag,
     eig_real_tridiag,
+    ladder_couplings,
 )
 from lipkin.eigen import det_state_at
 
@@ -95,21 +97,19 @@ def test_real_solver_index_range_picks_levels(n):
 
 def test_complex_solver_analytic_coalescence():
     # 2x2 even block of N=2: eigenvalues +-sqrt(1 + g^2/4)
-    values = eig_complex_tridiag(build_block(2, 2.0j, Parity.EVEN))
+    values = eig_complex_tridiag(2, Parity.EVEN, [2.0j])[0]
     assert np.max(np.abs(values)) <= 1e-7  # defective double zero
 
-    values = eig_complex_tridiag(build_block(2, 1.0j, Parity.EVEN))
+    values = eig_complex_tridiag(2, Parity.EVEN, [1.0j])[0]
     root = math.sqrt(0.75)
     assert np.allclose(values, [-root, root], atol=1e-12)
 
-    values = eig_complex_tridiag(build_block(4, (4.0 / 3.0) * 1j,
-                                             Parity.ODD))
+    values = eig_complex_tridiag(4, Parity.ODD, [(4.0 / 3.0) * 1j])[0]
     assert np.max(np.abs(values)) <= 1e-7
 
 
 def test_complex_solver_output_is_lexicographically_sorted():
-    values = eig_complex_tridiag(build_block(12, 0.8 + 1.3j,
-                                             Parity.EVEN))
+    values = eig_complex_tridiag(12, Parity.EVEN, [0.8 + 1.3j])[0]
     key = np.lexsort((values.imag, values.real))
     assert np.array_equal(key, np.arange(len(values)))
 
@@ -121,7 +121,7 @@ def test_complex_solver_matches_dense_oracle(n):
         block = build_block(n, g, parity)
         if block.dimension < 2:
             continue
-        values = _sorted_complex(eig_complex_tridiag(block))
+        values = _sorted_complex(eig_complex_tridiag(n, parity, [g])[0])
         oracle = _sorted_complex(np.linalg.eigvals(
             dense_sector_block(n, g, even)))
         assert np.max(np.abs(values - oracle)) <= 1e-9
@@ -138,15 +138,86 @@ def test_complex_spectrum_reversal_invariance():
     assert np.max(np.abs(w1 - w2)) <= 1e-9
 
 
+# real couplings of both signs, generic complex ones, and the defective
+# double zero of the N=2 even block at g = 2i
+STACK_COUPLINGS = [0.0, 1.5, -0.7, 0.3 + 2.1j, 1.2 - 0.4j, -2.0 + 0.5j, 2.0j]
+
+
+def dense_lex_eigvals(n, parity, g):
+    """One dense solve of the block build_block assembles, lex-sorted."""
+    block = build_block(n, g, parity)
+    a = np.diag(block.diag.astype(complex))
+    a += np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
+    w = np.linalg.eigvals(a)
+    return w[np.lexsort((w.imag, w.real))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 32])
+@pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+def test_stacked_solver_rows_equal_single_block_solves(n, parity):
+    rows = eig_complex_tridiag(n, parity, STACK_COUPLINGS)
+    dim = build_block(n, 1.0, parity).dimension
+    assert rows.shape == (len(STACK_COUPLINGS), dim)
+    for g, row in zip(STACK_COUPLINGS, rows):
+        assert np.array_equal(row, dense_lex_eigvals(n, parity, g))
+
+
+def test_stacked_solver_slices_large_stacks(monkeypatch):
+    couplings = [0.1 * k + 0.05j * k for k in range(1, 12)]
+    whole = eig_complex_tridiag(9, Parity.ODD, couplings)
+    # two blocks per LAPACK call
+    monkeypatch.setattr(lipkin.eigen, "_STACK_BYTES", 2 * 16 * 5 * 5)
+    assert np.array_equal(eig_complex_tridiag(9, Parity.ODD, couplings),
+                          whole)
+
+
+@pytest.mark.parametrize("n", [2, 9, 32])
+def test_stacked_solver_failed_block_gives_nan_row(n, monkeypatch):
+    parity = Parity.EVEN
+    bad = 1.2 - 0.4j
+    good = eig_complex_tridiag(n, parity, STACK_COUPLINGS)
+    marker = bad * ladder_couplings(n, parity)[0]
+    real_eigvals = np.linalg.eigvals
+
+    def failing(a):
+        if np.any(a[..., 0, 1] == marker):
+            raise np.linalg.LinAlgError("forced non-convergence")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    rows = eig_complex_tridiag(n, parity, STACK_COUPLINGS)
+    k = STACK_COUPLINGS.index(bad)
+    assert np.isnan(rows[k]).all()
+    others = np.arange(len(STACK_COUPLINGS)) != k
+    assert np.array_equal(rows[others], good[others])
+
+
+def test_sector_arrays_built_once_and_read_only(monkeypatch):
+    calls = []
+    real_basis = lipkin.eigen.sector_basis
+    real_factors = lipkin.eigen.ladder_couplings
+    monkeypatch.setattr(lipkin.eigen, "sector_basis",
+                        lambda *a: calls.append("basis") or real_basis(*a))
+    monkeypatch.setattr(lipkin.eigen, "ladder_couplings",
+                        lambda *a: calls.append("factors") or real_factors(*a))
+    lipkin.eigen._sector_arrays.cache_clear()
+    for g in (0.5 + 1.0j, 1.5 + 0.2j):
+        det_state_at(14, Parity.ODD, g, 0.3)
+        eig_complex_tridiag(14, Parity.ODD, [g])
+    assert calls == ["basis", "factors"]
+    diag, factors = lipkin.eigen._sector_arrays(14, Parity.ODD)
+    assert not diag.flags.writeable and not factors.flags.writeable
+    lipkin.eigen._sector_arrays.cache_clear()
+
+
 @given(re=st.floats(-3, 3), im=st.floats(-3, 3))
 @settings(max_examples=25, deadline=None)
 def test_conjugation_and_sign_symmetries(re, im):
     g = complex(re, im)
-    w = eig_complex_tridiag(build_block(8, g, Parity.EVEN))
-    w_conj = eig_complex_tridiag(build_block(8, g.conjugate(),
-                                             Parity.EVEN))
+    w = eig_complex_tridiag(8, Parity.EVEN, [g])[0]
+    w_conj = eig_complex_tridiag(8, Parity.EVEN, [g.conjugate()])[0]
     assert multiset_distance(w.conjugate(), w_conj) <= 1e-9
-    w_neg = eig_complex_tridiag(build_block(8, -g, Parity.EVEN))
+    w_neg = eig_complex_tridiag(8, Parity.EVEN, [-g])[0]
     assert multiset_distance(w, w_neg) <= 1e-9
 
 

@@ -3,22 +3,28 @@ import math
 import numpy as np
 import pytest
 
+import lipkin.excpt
 from lipkin import (
     EpConvergenceError,
+    EpTrackingError,
     Parity,
     build_block,
     default_im_tol,
     eig_complex_tridiag,
+    eig_real_tridiag,
     ep_pair_id,
     ep_refine,
     ep_scan,
+    ladder_couplings,
     near_real_ep_count,
 )
 from lipkin.eigen import det_state_at
 
+from test_eigen import dense_lex_eigvals
+
 
 def closest_pair_gap(n, parity, g):
-    w = eig_complex_tridiag(build_block(n, g, parity))
+    w = eig_complex_tridiag(n, parity, [g])[0]
     d = np.abs(w[:, None] - w[None, :])
     d[np.diag_indices_from(d)] = np.inf
     return d.min()
@@ -88,7 +94,7 @@ def test_n4_even_triple_point_brute_force():
             if best is None or gap < best[0]:
                 best = (gap, g)
     assert abs(best[1] - target) < 0.05
-    w = eig_complex_tridiag(build_block(4, target, Parity.EVEN))
+    w = eig_complex_tridiag(4, Parity.EVEN, [target])[0]
     assert np.max(np.abs(w[:, None] - w[None, :])) < 1e-3
 
 
@@ -126,8 +132,8 @@ def test_square_root_separation_at_branch_point():
     ep = ep_refine(16, Parity.EVEN, 1.5 + 0.7j, 8.0 + 1.0j)
 
     def pair_gap(delta):
-        w = eig_complex_tridiag(
-            build_block(16, ep.lambda_star + delta, Parity.EVEN))
+        w = eig_complex_tridiag(16, Parity.EVEN,
+                                [ep.lambda_star + delta])[0]
         d = np.sort(np.abs(w - ep.energy_star))[:2]
         idx = np.argsort(np.abs(w - ep.energy_star))[:2]
         return abs(w[idx[0]] - w[idx[1]])
@@ -167,3 +173,190 @@ def test_default_im_tol_table():
     assert default_im_tol(16) == 1.2
     assert default_im_tol(32) == 0.8
     assert 0.0 < default_im_tol(96) < 0.8
+
+
+# -- the stacked scan against the per-cell path it replaced ----------------
+
+def reference_seeds(n, parity, region, grid, skip=()):
+    """(cell coupling, pair midpoint) of every seeding cell, found one
+    build_block and one dense solve per cell; cells in skip count as
+    failed solves."""
+    re0, re1, im0, im1 = region
+    xs = re0 + (np.arange(grid) + 0.5) * (re1 - re0) / grid
+    ys = im0 + (np.arange(grid) + 0.5) * (im1 - im0) / grid
+    gap = np.full((grid, grid), np.inf)
+    mid = np.zeros((grid, grid), dtype=complex)
+    for iy, b in enumerate(ys):
+        for ix, a in enumerate(xs):
+            if (iy, ix) in skip:
+                continue
+            w = dense_lex_eigvals(n, parity, a + 1j * b)
+            d = np.abs(w[:, None] - w[None, :])
+            d[np.diag_indices_from(d)] = np.inf
+            i, j = np.unravel_index(np.argmin(d), d.shape)
+            gap[iy, ix], mid[iy, ix] = d[i, j], 0.5 * (w[i] + w[j])
+    seeds = []
+    for iy in range(grid):
+        for ix in range(grid):
+            near = gap[max(0, iy - 1):iy + 2, max(0, ix - 1):ix + 2]
+            if np.isfinite(gap[iy, ix]) and gap[iy, ix] <= near.min():
+                seeds.append((xs[ix] + 1j * ys[iy], mid[iy, ix]))
+    return seeds
+
+
+def reference_pair(ep):
+    """The walk of ep_pair_id, one build_block and one solve per step."""
+    energy = ep.energy_star
+    if energy.real > 0:
+        energy = -energy
+    levels = eig_real_tridiag(
+        build_block(ep.n_particles, ep.lambda_star.real, ep.sector)).values
+    for steps, ratio in [(60, 0.5), (180, math.sqrt(0.5))]:
+        current = None
+        for t in range(1, steps + 1):
+            lam = ep.lambda_star
+            w = dense_lex_eigvals(ep.n_particles, ep.sector,
+                                  lam.real + 1j * lam.imag * ratio ** t)
+            if current is None:
+                idx = list(np.argsort(np.abs(w - energy))[:2])
+            else:
+                d0, d1 = np.abs(w - current[0]), np.abs(w - current[1])
+                i0, i1 = int(np.argmin(d0)), int(np.argmin(d1))
+                if i0 == i1:
+                    if d0[i0] <= d1[i1]:
+                        d1[i0] = np.inf
+                        i1 = int(np.argmin(d1))
+                    else:
+                        d0[i1] = np.inf
+                        i0 = int(np.argmin(d0))
+                idx = [i0, i1]
+            current = w[idx]
+        ks = sorted(int(np.argmin(np.abs(levels - c.real))) for c in current)
+        if ks[1] == ks[0] + 1:
+            return ks[0] + 1, ks[1] + 1
+    return None
+
+
+def reference_scan(n, parity, region, grid):
+    re0, re1, im0, im1 = region
+    pad = 0.02 * max(re1 - re0, im1 - im0)
+    found = []
+    for lam0, e0 in reference_seeds(n, parity, region, grid):
+        try:
+            ep = ep_refine(n, parity, lam0, e0)
+        except EpConvergenceError:
+            continue
+        lam = ep.lambda_star
+        if not (re0 - pad <= lam.real <= re1 + pad and lam.imag <= im1 + pad):
+            continue
+        if all(abs(prev.lambda_star - lam) >= 1e-6 for prev in found):
+            found.append(ep)
+    found.sort(key=lambda e: (e.lambda_star.real, e.lambda_star.imag))
+    return [(ep.lambda_star, ep.energy_star, ep.residual, reference_pair(ep))
+            for ep in found]
+
+
+def record_seeds(monkeypatch):
+    seeds = []
+    real_refine = lipkin.excpt.ep_refine
+
+    def recording(n, sector, lam, energy):
+        seeds.append((lam, energy))
+        return real_refine(n, sector, lam, energy)
+
+    monkeypatch.setattr(lipkin.excpt, "ep_refine", recording)
+    return seeds
+
+
+def count_solves(monkeypatch):
+    calls = []
+    real_solver = lipkin.excpt.eig_complex_tridiag
+
+    def counting(n, parity, couplings):
+        calls.append(len(couplings))
+        return real_solver(n, parity, couplings)
+
+    monkeypatch.setattr(lipkin.excpt, "eig_complex_tridiag", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n,parity", [(8, Parity.EVEN), (9, Parity.ODD),
+                                      (16, Parity.EVEN), (16, Parity.ODD)])
+def test_scan_matches_per_cell_reference(n, parity):
+    region = (0.0, 3.0, 0.0, 3.0)
+    found = ep_scan(n, parity, region, 24, identify_pairs=True)
+    assert found
+    assert [(ep.lambda_star, ep.energy_star, ep.residual, ep.pair)
+            for ep in found] == reference_scan(n, parity, region, 24)
+
+
+def test_scan_solves_one_stack_per_grid_row(monkeypatch):
+    calls = count_solves(monkeypatch)
+    builds = []
+    monkeypatch.setattr(lipkin.excpt, "build_block",
+                        lambda *a: builds.append(a) or build_block(*a))
+    found = ep_scan(8, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), (30, 20))
+    assert found
+    assert calls == [30] * 20
+    assert builds == []
+
+
+def test_scan_skips_exactly_a_failed_cell(monkeypatch):
+    n, parity, region, grid = 16, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), 24
+    seeds = record_seeds(monkeypatch)
+    ep_scan(n, parity, region, grid)
+    baseline = list(seeds)
+    assert baseline == reference_seeds(n, parity, region, grid)
+    # fail the solve of the cell behind the first seed
+    lam0 = baseline[0][0]
+    step = (region[1] - region[0]) / grid
+    cell = (int(lam0.imag / step), int(lam0.real / step))
+    marker = lam0 * ladder_couplings(n, parity)[0]
+    real_eigvals = np.linalg.eigvals
+
+    def failing(a):
+        if np.any(a[..., 0, 1] == marker):
+            raise np.linalg.LinAlgError("forced non-convergence")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    seeds.clear()
+    ep_scan(n, parity, region, grid)
+    assert (lam0, baseline[0][1]) not in seeds
+    assert seeds == reference_seeds(n, parity, region, grid, skip={cell})
+
+
+def test_pair_id_solves_one_stack_per_walk(monkeypatch):
+    ep = ep_refine(8, Parity.EVEN, 1.51 + 1.41j, -3.4 - 1.1j)
+    calls = count_solves(monkeypatch)
+    assert ep_pair_id(ep) == (1, 2)
+    assert calls == [60]
+
+    # a first walk whose endpoints land on one level forces the retry
+    real_track = lipkin.excpt._track_pair
+    walks = []
+
+    def first_walk_ambiguous(*args):
+        tracked = real_track(*args)
+        walks.append(args[4])
+        return tracked[[0, 0]] if len(walks) == 1 else tracked
+
+    monkeypatch.setattr(lipkin.excpt, "_track_pair", first_walk_ambiguous)
+    calls.clear()
+    assert ep_pair_id(ep) == (1, 2)
+    assert walks == [60, 180]
+    assert calls == [60, 180]
+
+
+def test_pair_id_failed_solve_on_walk_is_tracking_error(monkeypatch):
+    ep = ep_refine(8, Parity.EVEN, 1.51 + 1.41j, -3.4 - 1.1j)
+    real_solver = lipkin.excpt.eig_complex_tridiag
+
+    def one_nan_row(n, parity, couplings):
+        rows = real_solver(n, parity, couplings)
+        rows[len(rows) // 2] = np.nan
+        return rows
+
+    monkeypatch.setattr(lipkin.excpt, "eig_complex_tridiag", one_nan_row)
+    with pytest.raises(EpTrackingError):
+        ep_pair_id(ep)

@@ -48,7 +48,7 @@ def test_zero_data_gives_zero_fit():
 def test_eval_and_derivative_hand_values():
     fit = SingularityFit(x_c=0.0, side="right",
                          coefficients=np.array([1.0]),
-                         rms_residual=0.0, window=(0.01, 1.0))
+                         rms_residual=0.0)
     assert fit_eval(fit, 1.0) == pytest.approx(0.0, abs=1e-15)
     assert fit_derivative(fit, 1.0) == pytest.approx(1.0, abs=1e-15)
     e = math.exp(-1.0)
@@ -75,7 +75,7 @@ def test_input_validation():
 def test_second_derivative_structure():
     fit = SingularityFit(x_c=0.0, side="right",
                          coefficients=np.array([1.0]),
-                         rms_residual=0.0, window=(0.01, 1.0))
+                         rms_residual=0.0)
     # d2/dx2 [x^2 ln x] = 2 ln x + 3
     for x in (0.3, 0.05, 1.7):
         assert fit_second_derivative(fit, x) \
@@ -85,7 +85,7 @@ def test_second_derivative_structure():
 def test_derivative_decay_and_curvature_divergence_toward_singularity():
     fit = SingularityFit(x_c=0.2, side="right",
                          coefficients=np.array([2.0, -0.5, 0.1]),
-                         rms_residual=0.0, window=(0.01, 1.0))
+                         rms_residual=0.0)
     offsets = [1e-2, 1e-4, 1e-6]
     first = [abs(fit_derivative(fit, 0.2 + d)) for d in offsets]
     second = [abs(fit_second_derivative(fit, 0.2 + d)) for d in offsets]
