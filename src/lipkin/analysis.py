@@ -69,11 +69,12 @@ class ScalingReport:
 
 
 def full_spectrum(n_particles: int, coupling: float) -> Spectrum:
-    """Diagonalize both sector blocks and merge, ascending."""
+    """Diagonalize both sector blocks (concurrently) and merge, ascending."""
     lam = float(coupling)
-    even = eig_real_tridiag(build_block(n_particles, lam, Parity.EVEN)).values
-    odd = eig_real_tridiag(build_block(n_particles, lam, Parity.ODD)).values
-    values = np.concatenate([even, odd])
+    even_block = build_block(n_particles, lam, Parity.EVEN)
+    values = eig_real_tridiag(
+        [even_block, build_block(n_particles, lam, Parity.ODD)]).values
+    even, odd = np.split(values, [even_block.dimension])
     tags = np.concatenate([
         np.zeros(len(even), dtype=np.int8),
         np.ones(len(odd), dtype=np.int8),
@@ -254,18 +255,22 @@ def gap_ratio_eq3(coupling: float, n_list: Sequence[int],
                   sector: Parity = Parity.EVEN) -> ScalingReport:
     """Minimum-gap ratio r(N) = gap_min * ln(N) / (2 pi sqrt(g^2 - 1)).
 
-    gap_min is min_gap's gap, taken from the one sector's spectrum.
-    Convergence of r toward 1 is logarithmically slow; callers should
-    treat the sequence as a trend, not a limit.
+    gap_min is min_gap's gap, taken from the one sector's spectrum; the
+    blocks of all N are solved in one batch.  Convergence of r toward 1
+    is logarithmically slow; callers should treat the sequence as a
+    trend, not a limit.
     """
     lam = float(coupling)
     if lam <= 1.0:
         raise ValueError("the minimum-gap law needs coupling > 1")
     denom = 2.0 * math.pi * math.sqrt(lam * lam - 1.0)
+    n_list = sorted(int(n) for n in n_list)
+    blocks = [build_block(n, lam, sector) for n in n_list]
+    values = eig_real_tridiag(blocks).values
+    ends = np.cumsum([b.dimension for b in blocks])[:-1]
     samples = []
-    for n in sorted(int(n) for n in n_list):
-        values = eig_real_tridiag(build_block(n, lam, sector)).values
-        _, gap = _lower_half_min_gap(values)
+    for n, levels in zip(n_list, np.split(values, ends)):
+        _, gap = _lower_half_min_gap(levels)
         samples.append((n, gap * math.log(n) / denom))
     return ScalingReport(samples, [r for _, r in samples])
 
@@ -309,15 +314,14 @@ def spectral_derivative(ss: ScaledSpectrum,
 
 def level_vs_coupling(n_particles: int, k: int, sector: Parity,
                       couplings: Sequence[float]) -> np.ndarray:
-    """Scaled energy 2E_k/N of one sector level along a coupling grid."""
-    out = np.empty(len(couplings))
-    for i, lam in enumerate(couplings):
-        block = build_block(n_particles, float(lam), sector)
-        values = eig_real_tridiag(block).values
-        if k > len(values):
-            raise ValueError(f"sector holds {len(values)} levels, k={k}")
-        out[i] = 2.0 * values[k - 1] / n_particles
-    return out
+    """Scaled energy 2E_k/N of one sector level along a coupling grid;
+    the blocks of the grid are solved in one batch."""
+    dim = len(sector_basis(n_particles, sector))
+    if k > dim:
+        raise ValueError(f"sector holds {dim} levels, k={k}")
+    blocks = [build_block(n_particles, float(lam), sector) for lam in couplings]
+    values = eig_real_tridiag(blocks).values
+    return 2.0 * values.reshape(-1, dim)[:, k - 1] / n_particles
 
 
 def critical_lambda(n_particles: int, k: int, sector: Parity,

@@ -95,10 +95,13 @@ def build_block(n_particles: int, coupling, parity: Parity) -> TridiagonalBlock:
     diag = sector_basis(n_particles, parity)
     factors = ladder_couplings(n_particles, parity)
     g = complex(coupling)
-    if g.imag == 0.0:
-        offdiag = g.real * factors
-    else:
-        offdiag = g * factors.astype(complex)
+    # a coupling too large for the double range leaves inf entries,
+    # which eig_real_tridiag rejects with the cause named
+    with np.errstate(over="ignore"):
+        if g.imag == 0.0:
+            offdiag = g.real * factors
+        else:
+            offdiag = g * factors.astype(complex)
     return TridiagonalBlock(diag, offdiag, n_particles, parity)
 
 

@@ -2,8 +2,12 @@
 
 Three routes, each matched to where it is used:
 
-* real coupling: LAPACK's symmetric-tridiagonal solver (implicit-shift
-  QL/QR family) through scipy, O(dim) storage, handles dim ~ 10^4;
+* real coupling: LAPACK's symmetric-tridiagonal divide-and-conquer
+  routine dstevd, O(dim) storage, handles dim ~ 10^4.  Values-only
+  solves call it through scipy's Cython LAPACK table by ctypes, which
+  releases the interpreter lock for the call, so the blocks of one
+  request (the two parity sectors, a sweep over N or over g) are solved
+  concurrently on a pool sized to the CPUs this process may use;
 * complex coupling: dense Hessenberg QR (LAPACK zgeev), with the
   blocks of one sector at many couplings solved as one stack (they
   differ only in g); branch-point searches never exceed dim ~ 100, so
@@ -16,19 +20,47 @@ Three routes, each matched to where it is used:
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
+from concurrent.futures import wait
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from .core import Parity, TridiagonalBlock, ladder_couplings, sector_basis
 
 
 #: upper bound on the bytes of one dense stack handed to LAPACK at once
 _STACK_BYTES = 1 << 22
+
+
+def _lapack_function(name: str, *argtypes) -> ctypes.CFUNCTYPE:
+    """A routine of scipy's Cython LAPACK table as a ctypes function.
+
+    A ctypes foreign call releases the interpreter lock, which the f2py
+    wrappers of scipy.linalg.lapack hold for the whole solve.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.restype = ctypes.c_char_p
+    get_name.argtypes = [ctypes.py_object]
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.restype = ctypes.c_void_p
+    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_PTR = ctypes.c_void_p
+# dstevd(jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info)
+_DSTEVD = _lapack_function("dstevd", ctypes.c_char_p, _INT, _PTR, _PTR,
+                           _PTR, _INT, _PTR, _INT, _PTR, _INT, _INT)
 
 
 @functools.lru_cache(maxsize=64)
@@ -47,27 +79,46 @@ def _sector_arrays(n_particles: int, parity: Parity) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Eigenvalues (and optionally vectors) of one sector block."""
+    """Eigenvalues (and optionally vectors) of one or more sector blocks."""
 
     values: np.ndarray = field(repr=False)
     vectors: np.ndarray | None = field(repr=False)
 
 
-def eig_real_tridiag(block: TridiagonalBlock, want_vectors: bool = False,
+def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
+                     want_vectors: bool = False,
                      index_range: tuple[int, int] | None = None) -> EigenResult:
-    """Eigenvalues of a real-coupling block, ascending.
+    """Eigenvalues of real-coupling blocks, ascending within each block.
 
-    All of them by default.  index_range=(lo, hi) asks for levels lo..hi
-    only (0-based, inclusive), found by Sturm-count bisection at O(dim)
-    per level; use it when a few levels are needed, never for the whole
-    spectrum, where bisection is an order of magnitude slower than the
-    full solve.  Vectors, when requested, come back column-aligned with
-    the values and orthonormal.
+    blocks is one block or a sequence of them.  For a sequence, values
+    holds every block's levels concatenated in the order given; the
+    blocks are solved concurrently on a pool of threads, largest first.  index_range=(lo, hi)
+    asks for levels lo..hi of a single block only (0-based, inclusive),
+    found by Sturm-count bisection at O(dim) per level; use it when a
+    few levels are needed, never for the whole spectrum, where bisection
+    is an order of magnitude slower than the full solve.  Vectors, when
+    requested of a single block, come back column-aligned with the
+    values and orthonormal.
     """
-    if not block.is_real:
-        raise ValueError("block has complex coupling; use eig_complex_tridiag")
-    d = block.diag
-    e = np.asarray(block.offdiag, dtype=float)
+    batch = [blocks] if isinstance(blocks, TridiagonalBlock) else list(blocks)
+    for block in batch:
+        _check_real(block)
+    if not want_vectors and index_range is None:
+        if len(batch) == 1:  # nothing to overlap: skip the thread handoff
+            return EigenResult(_values(batch[0]), None)
+        pool = _pool()
+        futures = [None] * len(batch)
+        for i in sorted(range(len(batch)), key=lambda i: batch[i].dimension,
+                        reverse=True):
+            futures[i] = pool.submit(_values, batch[i])
+        wait(futures)
+        levels = [f.result() for f in futures]
+        return EigenResult(np.concatenate(levels) if levels else np.empty(0),
+                           None)
+    if len(batch) != 1:
+        raise ValueError("vectors and index_range take a single block, "
+                         f"got {len(batch)}")
+    block, = batch
     select = {}
     if index_range is not None:
         lo, hi = index_range
@@ -77,15 +128,75 @@ def eig_real_tridiag(block: TridiagonalBlock, want_vectors: bool = False,
             )
         select = {"select": "i", "select_range": (lo, hi)}
     if block.dimension == 1:
-        values = d.copy()
+        values = block.diag.copy()
         vectors = np.ones((1, 1)) if want_vectors else None
-    elif want_vectors:
-        values, vectors = scipy.linalg.eigh_tridiagonal(d, e, **select)
     else:
-        values = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
-                                               **select)
-        vectors = None
+        solved = scipy.linalg.eigh_tridiagonal(
+            block.diag, block.offdiag, eigvals_only=not want_vectors,
+            **select)
+        values, vectors = solved if want_vectors else (solved, None)
     return EigenResult(values, vectors)
+
+
+def _check_real(block: TridiagonalBlock) -> None:
+    """Reject what LAPACK cannot take: complex or non-finite entries, or
+    an off-diagonal whose length does not match the diagonal."""
+    if not block.is_real:
+        raise ValueError("block has complex coupling; use eig_complex_tridiag")
+    if block.diag.ndim != 1 or block.offdiag.shape != (block.dimension - 1,):
+        raise ValueError(f"diagonal of shape {block.diag.shape} and "
+                         f"off-diagonal of shape {block.offdiag.shape} do "
+                         "not form a tridiagonal block")
+    if np.isfinite(block.diag).all() and np.isfinite(block.offdiag).all():
+        return
+    where = f"the N={block.n_particles} {block.parity} block"
+    if np.isnan(block.offdiag).any() or not np.isfinite(block.diag).all():
+        raise ValueError(f"{where} holds NaN or infinite entries")
+    raise ValueError(f"the coupling overflows the off-diagonal of {where}: "
+                     "g times the ladder factors exceeds the double range")
+
+
+@functools.cache
+def _pool():
+    """The worker threads of batched real solves, one per usable CPU,
+    started on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers,
+                              thread_name_prefix="lipkin-eigen")
+
+
+# a forked child inherits the pool but not its threads, and would wait
+# forever on work queued to them; it starts a pool of its own instead
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _values(block: TridiagonalBlock) -> np.ndarray:
+    """All levels of one checked real block, ascending: LAPACK dstevd
+    with jobz='N', the routine scipy's eigh_tridiagonal runs by default,
+    called without the interpreter lock.  Runs on the pool's threads, so
+    it touches no public function of the package.  A 1x1 block comes
+    back as its diagonal, as from scipy."""
+    d = np.array(block.diag, dtype=float)  # overwritten with the levels
+    e = np.array(block.offdiag, dtype=float)  # destroyed
+    z, work = np.empty(1), np.empty(1)  # z is not referenced for jobz='N'
+    iwork = np.empty(1, dtype=np.intc)
+    n, one, info = ctypes.c_int(len(d)), ctypes.c_int(1), ctypes.c_int(0)
+    _DSTEVD(b"N", ctypes.byref(n), d.ctypes.data, e.ctypes.data,
+            z.ctypes.data, ctypes.byref(one), work.ctypes.data,
+            ctypes.byref(one), iwork.ctypes.data, ctypes.byref(one),
+            ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of dstevd")
+    if info.value > 0:
+        raise np.linalg.LinAlgError(
+            f"dstevd did not converge (LAPACK info={info.value})")
+    return d
 
 
 def eig_complex_tridiag(n_particles: int, parity: Parity,

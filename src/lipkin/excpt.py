@@ -23,6 +23,7 @@ plotted and counted per coupling.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -191,7 +192,8 @@ def ep_scan(n_particles: int, sector: Parity,
     rectangle is tiled into grid cells; at each cell center the complex
     spectrum is computed, one stacked solve per grid row, and cells where
     the two closest eigenvalues dip to a local minimum seed the Newton
-    refinement.  A cell whose solve fails is skipped.  Cell centers carry
+    refinement.  A cell whose solve fails is skipped, and the number of
+    skipped cells is reported as a RuntimeWarning.  Cell centers carry
     strictly positive imaginary part, which matters: a Newton iterate
     seeded exactly on the real axis could never leave it.  Results are
     deduplicated (1e-6 in g) and sorted by (Re g*, Im g*).
@@ -207,9 +209,14 @@ def ep_scan(n_particles: int, sector: Parity,
     ys = im0 + (np.arange(ny) + 0.5) * (im1 - im0) / ny
     gap = np.empty((ny, nx))
     mid = np.empty((ny, nx), dtype=complex)
+    failed = 0
     for iy, b in enumerate(ys):
         rows = eig_complex_tridiag(n_particles, sector, xs + 1j * b)
+        failed += int(np.isnan(rows).any(axis=1).sum())
         gap[iy], mid[iy] = _closest_pairs(rows)
+    if failed:
+        warnings.warn(f"{failed} of {nx * ny} cells skipped: eigensolve "
+                      "failed", RuntimeWarning, stacklevel=2)
     # a seed is a finite gap no larger than any of its (up to) 8 neighbours
     padded = np.pad(gap, 1, constant_values=np.inf)
     lowest = np.min([padded[dy:dy + ny, dx:dx + nx]

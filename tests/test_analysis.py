@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lipkin import (
     NoCrossingError,
     Parity,
+    TridiagonalBlock,
     UndefinedAtCriticalCoupling,
     build_block,
     critical_lambda,
@@ -205,9 +206,14 @@ def test_scaling_sweeps_solve_only_the_requested_sector(monkeypatch):
     solves = []
     real_solver = analysis.eig_real_tridiag
 
-    def counting_solver(block, *args, **kwargs):
-        res = real_solver(block, *args, **kwargs)
-        solves.append((block.parity, len(res.values)))
+    def counting_solver(blocks, *args, **kwargs):
+        # one entry per block of a batch: its parity and its level count
+        res = real_solver(blocks, *args, **kwargs)
+        if isinstance(blocks, TridiagonalBlock):
+            solves.append((blocks.parity, len(res.values)))
+        else:
+            solves.extend((b.parity, b.dimension) for b in blocks)
+            assert len(res.values) == sum(b.dimension for b in blocks)
         return res
 
     def no_full_spectrum(*args, **kwargs):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -361,3 +362,67 @@ def test_benchmark_tracer_binding_names():
     assert len(solver(build_block(4, 1.0, Parity.EVEN)).values) == 3
     assert "grid" in inspect.signature(lipkin.excpt.ep_scan).parameters
     assert callable(lipkin.cli.full_spectrum)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "64", "--lambda", "1e308"],
+    ["scaling", "--law", "eq3", "--lambda", "1e308", "--n-list", "64,128"],
+])
+def test_overflowing_coupling_is_named(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        code, out, err = run_cli(argv)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: the coupling overflows the off-diagonal of " \
+        "the N=64 even block" in err
+
+
+def test_public_functions_run_on_the_main_thread(monkeypatch):
+    # bench/tracing.py keeps one span stack for all threads, so the
+    # solver's worker threads must run private code only
+    import functools
+    import importlib
+    import inspect
+    import threading
+
+    import lipkin
+
+    layers = [importlib.import_module(f"lipkin.{name}") for name in
+              ("core", "eigen", "analysis", "excpt", "logfit", "cli")]
+    calls = []
+
+    def recording(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}
+    for module in layers:
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) and not name.startswith("_")
+                    and obj.__module__ == module.__name__):
+                wrappers[id(obj)] = (obj, recording(obj))
+    for module in (lipkin, *layers):
+        for name, obj in list(vars(module).items()):
+            entry = wrappers.get(id(obj))
+            if entry is not None and entry[0] is obj:
+                monkeypatch.setattr(module, name, entry[1])
+
+    for argv in [["spectrum", "--n", "64", "--lambda", "2"],
+                 ["fit", "--n", "256", "--lambda", "5"],
+                 ["scaling", "--law", "eq3", "--lambda", "2",
+                  "--n-list", "16,32,64"],
+                 ["localization", "--n", "64", "--lambda", "5"],
+                 ["eps", "--n", "8", "--re-max", "3", "--im-max", "3",
+                  "--grid", "16"]]:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert lipkin.cli.main(argv) == 0
+    names = {name for name, _ in calls}
+    assert {"main", "full_spectrum", "gap_ratio_eq3", "eig_real_tridiag",
+            "critical_state", "fit_spectrum_side", "ep_scan",
+            "eig_complex_tridiag", "ep_pair_id"} <= names
+    assert {thread.name for _, thread in calls} \
+        == {threading.main_thread().name}

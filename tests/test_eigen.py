@@ -1,12 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import lipkin.eigen
 from lipkin import (
     Parity,
+    TridiagonalBlock,
     build_block,
     eig_complex_tridiag,
     eig_real_tridiag,
@@ -54,6 +57,9 @@ def test_real_solver_examples():
 def test_real_solver_rejects_complex_blocks():
     with pytest.raises(ValueError):
         eig_real_tridiag(build_block(4, 1.0j, Parity.EVEN))
+    with pytest.raises(ValueError):
+        eig_real_tridiag([build_block(4, 1.0, Parity.EVEN),
+                          build_block(4, 1.0j, Parity.ODD)])
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -93,6 +99,96 @@ def test_real_solver_index_range_picks_levels(n):
     for bad in [(-1, 0), (1, 0), (0, dim)]:
         with pytest.raises(ValueError):
             eig_real_tridiag(block, index_range=bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 64, 1001])
+def test_real_solver_is_byte_equal_to_scipy(n):
+    # the values-only route calls LAPACK dstevd itself, the routine
+    # scipy runs by default
+    for parity in Parity:
+        for lam in [0.0, 1.0, -1.0, 5.0, -3.5, 1e-300, 1e150]:
+            block = build_block(n, lam, parity)
+            reference = scipy.linalg.eigh_tridiagonal(
+                block.diag, block.offdiag, eigvals_only=True)
+            values = eig_real_tridiag(block).values
+            assert values.dtype == reference.dtype
+            assert values.tobytes() == reference.tobytes()
+
+
+def test_real_solver_batch_concatenates_single_solves():
+    blocks = [build_block(n, lam, parity)
+              for n, lam in [(1, 2.0), (64, 5.0), (33, -1.5), (2000, 1.0)]
+              for parity in Parity]
+    singles = [eig_real_tridiag(b).values for b in blocks]
+    batch = eig_real_tridiag(blocks)
+    assert batch.vectors is None
+    assert batch.values.tobytes() == np.concatenate(singles).tobytes()
+    assert eig_real_tridiag(tuple(blocks[:1])).values.tobytes() \
+        == singles[0].tobytes()
+    assert len(eig_real_tridiag([]).values) == 0
+
+
+def _solve_pair_into(queue):
+    blocks = [build_block(64, 2.0, parity) for parity in Parity]
+    queue.put(eig_real_tridiag(blocks).values.tobytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_real_solver_batch_works_in_a_forked_child():
+    # the child inherits the parent's pool object but none of its threads
+    import multiprocessing
+
+    blocks = [build_block(64, 2.0, parity) for parity in Parity]
+    expected = eig_real_tridiag(blocks).values.tobytes()  # pool now exists
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_solve_pair_into, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=30) == expected
+        child.join(timeout=30)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+
+
+def test_real_solver_vectors_and_index_range_take_one_block():
+    blocks = [build_block(8, 1.0, Parity.EVEN), build_block(8, 1.0, Parity.ODD)]
+    with pytest.raises(ValueError):
+        eig_real_tridiag(blocks, want_vectors=True)
+    with pytest.raises(ValueError):
+        eig_real_tridiag(blocks, index_range=(0, 1))
+    one = eig_real_tridiag(blocks[:1], want_vectors=True)
+    assert one.vectors.shape == (5, 5)
+
+
+def test_real_solver_names_an_overflowing_coupling():
+    with pytest.raises(ValueError, match="coupling overflows .* N=64 even"):
+        eig_real_tridiag(build_block(64, 1e308, Parity.EVEN))
+    nan_block = build_block(8, math.nan, Parity.ODD)
+    for kwargs in [{}, {"want_vectors": True}]:
+        with pytest.raises(ValueError, match="N=8 odd block holds NaN"):
+            eig_real_tridiag(nan_block, **kwargs)
+
+
+def test_real_solver_rejects_mismatched_offdiagonal():
+    block = build_block(16, 1.0, Parity.EVEN)
+    for offdiag in [block.offdiag[:-1], np.append(block.offdiag, 1.0),
+                    block.offdiag[:, None]]:
+        bad = TridiagonalBlock(block.diag, offdiag, 16, Parity.EVEN)
+        with pytest.raises(ValueError, match="do not form a tridiagonal"):
+            eig_real_tridiag(bad)
+
+
+def test_real_solver_failure_is_a_linalg_error(monkeypatch):
+    def no_convergence(*args):
+        args[-1]._obj.value = 3  # info > 0
+
+    monkeypatch.setattr(lipkin.eigen, "_DSTEVD", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+        eig_real_tridiag(build_block(16, 1.0, Parity.EVEN))
 
 
 def test_complex_solver_analytic_coalescence():

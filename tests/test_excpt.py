@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,7 +305,9 @@ def test_scan_solves_one_stack_per_grid_row(monkeypatch):
 def test_scan_skips_exactly_a_failed_cell(monkeypatch):
     n, parity, region, grid = 16, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), 24
     seeds = record_seeds(monkeypatch)
-    ep_scan(n, parity, region, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a clean scan warns of nothing
+        ep_scan(n, parity, region, grid)
     baseline = list(seeds)
     assert baseline == reference_seeds(n, parity, region, grid)
     # fail the solve of the cell behind the first seed
@@ -321,7 +324,9 @@ def test_scan_skips_exactly_a_failed_cell(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)
     seeds.clear()
-    ep_scan(n, parity, region, grid)
+    with pytest.warns(RuntimeWarning,
+                      match="^1 of 576 cells skipped: eigensolve failed$"):
+        ep_scan(n, parity, region, grid)
     assert (lam0, baseline[0][1]) not in seeds
     assert seeds == reference_seeds(n, parity, region, grid, skip={cell})
 
