@@ -6,11 +6,9 @@ from .core import (
     TridiagonalBlock,
     apply_scaled_hamiltonian,
     build_block,
-    ladder_couplings,
     sector_basis,
 )
 from .eigen import (
-    EigenResult,
     eig_complex_tridiag,
     eig_real_tridiag,
 )
@@ -19,18 +17,13 @@ from .analysis import (
     ScaledSpectrum,
     ScalingReport,
     Spectrum,
-    UndefinedAtCriticalCoupling,
-    critical_lambda,
     critical_state,
     critical_x,
     full_spectrum,
     gap_ratio_eq3,
     gaps,
     ipr,
-    level_vs_coupling,
     loglog_slope,
-    mf_excitation,
-    mf_ground_scaled,
     min_gap,
     scaled_spectrum,
     scaling_exponent_eq2,

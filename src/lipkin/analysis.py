@@ -1,5 +1,5 @@
 """Spectrum-derived quantities: scaled spectra, gaps, critical crossing,
-mean-field comparisons, finite-size scaling, and localization.
+finite-size scaling, and localization.
 
 Conventions used throughout (and in the CLI output):
 
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Parity, build_block, sector_basis
+from .core import Parity, build_block
 from .eigen import EigenResult, eig_real_tridiag
 
 
@@ -30,16 +30,11 @@ class NoCrossingError(ValueError):
     """The scaled spectrum does not reach the critical line."""
 
 
-class UndefinedAtCriticalCoupling(ValueError):
-    """Both mean-field branches vanish at coupling 1; there is no value."""
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Full real spectrum at one coupling, per sector and merged."""
 
     n_particles: int
-    coupling: float
     even_values: np.ndarray = field(repr=False)
     odd_values: np.ndarray = field(repr=False)
     merged: np.ndarray = field(repr=False)
@@ -47,6 +42,12 @@ class Spectrum:
 
     def sector_values(self, sector: Parity) -> np.ndarray:
         return self.even_values if sector is Parity.EVEN else self.odd_values
+
+    def levels(self, selector: str) -> np.ndarray:
+        """The ascending levels of "merged", "even" or "odd"."""
+        if selector == "merged":
+            return self.merged
+        return self.sector_values(Parity(selector))
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class ScaledSpectrum:
     x: np.ndarray = field(repr=False)
     eps: np.ndarray = field(repr=False)
     n_particles: int
-    coupling: float
     selector: str  # "merged", "even" or "odd"
 
 
@@ -81,29 +81,18 @@ def full_spectrum(n_particles: int, coupling: float) -> Spectrum:
     ])
     order = np.argsort(values, kind="stable")
     parities = np.array([Parity.EVEN, Parity.ODD], dtype=object)
-    return Spectrum(n_particles, lam, even, odd, values[order],
+    return Spectrum(n_particles, even, odd, values[order],
                     parities[tags[order]])
 
 
-def _selected_values(s: Spectrum, selector) -> np.ndarray:
-    if selector == "merged" or selector is None:
-        return s.merged
-    if isinstance(selector, Parity):
-        return s.sector_values(selector)
-    if selector in ("even", "odd"):
-        return s.sector_values(Parity(selector))
-    raise ValueError(f"unknown selector {selector!r}")
-
-
-def scaled_spectrum(s: Spectrum, selector="merged") -> ScaledSpectrum:
-    """Map the selected ordered levels to (2k/N, 2E_k/N), k <= N/2."""
-    values = _selected_values(s, selector)
+def scaled_spectrum(s: Spectrum, selector: str = "merged") -> ScaledSpectrum:
+    """Map the ordered levels of "merged", "even" or "odd" to
+    (2k/N, 2E_k/N), k <= N/2."""
+    values = s.levels(selector)
     n = s.n_particles
     kmax = min(len(values), n // 2)
     k = np.arange(1, kmax + 1)
-    name = selector.value if isinstance(selector, Parity) else str(selector)
-    return ScaledSpectrum(2.0 * k / n, 2.0 * values[:kmax] / n, n,
-                          s.coupling, name)
+    return ScaledSpectrum(2.0 * k / n, 2.0 * values[:kmax] / n, n, selector)
 
 
 def gaps(s: Spectrum, sector: Parity) -> np.ndarray:
@@ -177,39 +166,6 @@ def critical_x(n_particles: int, coupling: float,
     x0, x1 = ss.x[i - 1], ss.x[i]
     e0, e1 = eps[i - 1], eps[i]
     return float(x0 + (-1.0 - e0) * (x1 - x0) / (e1 - e0))
-
-
-def mf_excitation(coupling: float, k: int) -> float:
-    """Mean-field excitation energy of the k-th rung above the ground
-    state: k sqrt(1-g^2) below the critical coupling, k sqrt(2(g^2-1))
-    above it.  Undefined exactly at 1.
-
-    The ladder alternates parity sectors in the normal phase (rungs are
-    consecutive merged levels) and runs within a sector in the deformed
-    phase (rungs are the doublets; the merged neighbor is the
-    exponentially split partner).
-    """
-    lam = float(coupling)
-    if k < 1:
-        raise ValueError("level index k must be positive")
-    if lam == 1.0:
-        raise UndefinedAtCriticalCoupling(
-            "both mean-field branches vanish at coupling 1"
-        )
-    if lam < 1.0:
-        return k * math.sqrt(1.0 - lam * lam)
-    return k * math.sqrt(2.0 * (lam * lam - 1.0))
-
-
-def mf_ground_scaled(coupling: float) -> float:
-    """Scaled ground-state energy -(g + 1/g)/2, valid for coupling >= 1."""
-    lam = float(coupling)
-    if lam < 1.0:
-        raise ValueError(
-            f"deformed-phase ground-state formula needs coupling >= 1, "
-            f"got {lam}"
-        )
-    return -0.5 * (lam + 1.0 / lam)
 
 
 def loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:
@@ -288,19 +244,17 @@ def ipr(v: np.ndarray) -> float:
     return float(np.sum(a2 * a2))
 
 
-def spectral_derivative(ss: ScaledSpectrum,
-                        stride: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def spectral_derivative(ss: ScaledSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Finite differences (x_mid, d eps / d x) of a scaled spectrum.
 
-    Merged spectra default to stride 2: below the critical line merged
-    levels form parity doublets whose splitting is exponentially small,
-    so consecutive differences alternate between ~0 and twice the local
+    Merged spectra take stride 2: below the critical line merged levels
+    form parity doublets whose splitting is exponentially small, so
+    consecutive differences alternate between ~0 and twice the local
     slope; differencing across the doublet removes that.  Sector curves
-    have no doublets and default to stride 1.  For coupling > 1 the
-    minimum of the curve marks the zero-slope inflection at x_c.
+    have no doublets and take stride 1.  For coupling > 1 the minimum of
+    the curve marks the zero-slope inflection at x_c.
     """
-    if stride is None:
-        stride = 2 if ss.selector == "merged" else 1
+    stride = 2 if ss.selector == "merged" else 1
     if len(ss.x) < stride + 1:
         raise ValueError(
             f"need at least {stride + 1} points for stride-{stride} "
@@ -312,53 +266,13 @@ def spectral_derivative(ss: ScaledSpectrum,
     return xm, de / dx
 
 
-def level_vs_coupling(n_particles: int, k: int, sector: Parity,
-                      couplings: Sequence[float]) -> np.ndarray:
-    """Scaled energy 2E_k/N of one sector level along a coupling grid;
-    the blocks of the grid are solved in one batch."""
-    dim = len(sector_basis(n_particles, sector))
-    if k > dim:
-        raise ValueError(f"sector holds {dim} levels, k={k}")
-    blocks = [build_block(n_particles, float(lam), sector) for lam in couplings]
-    values = eig_real_tridiag(blocks).values
-    return 2.0 * values.reshape(-1, dim)[:, k - 1] / n_particles
-
-
-def critical_lambda(n_particles: int, k: int, sector: Parity,
-                    couplings: Sequence[float],
-                    eps_curve: np.ndarray | None = None) -> float:
-    """Coupling at which level k crosses the critical line eps = -1,
-    interpolated linearly on the given grid."""
-    lams = np.asarray(couplings, dtype=float)
-    eps = (eps_curve if eps_curve is not None
-           else level_vs_coupling(n_particles, k, sector, lams))
-    below = eps <= -1.0
-    if not below.any() or below.all():
-        raise NoCrossingError(
-            f"level k={k} does not cross the critical line on the grid "
-            f"[{lams[0]}, {lams[-1]}]"
-        )
-    i = int(np.argmax(below))  # first index below the line
-    if i == 0:
-        raise NoCrossingError("grid starts below the critical line")
-    l0, l1 = lams[i - 1], lams[i]
-    e0, e1 = eps[i - 1], eps[i]
-    return float(l0 + (-1.0 - e0) * (l1 - l0) / (e1 - e0))
-
-
-def critical_state(n_particles: int, coupling: float,
-                   sector: Parity = Parity.EVEN,
-                   solved: EigenResult | None = None):
+def critical_state(n_particles: int, solved: EigenResult):
     """Eigenvector of the sector level nearest the critical line.
 
-    Returns (k, eigenvalue, vector, basis_m).  This is the state that
-    localizes on m = -j as N grows.  solved, when given, is the block's
-    full solve with vectors, which is then not repeated.
+    solved is one sector block's full solve with vectors.  Returns
+    (k, eigenvalue, vector); this is the state that localizes on m = -j
+    as N grows.
     """
-    if solved is None:
-        block = build_block(n_particles, float(coupling), sector)
-        solved = eig_real_tridiag(block, want_vectors=True)
     eps = 2.0 * solved.values / n_particles
     k = int(np.argmin(np.abs(eps + 1.0)))
-    return (k + 1, float(solved.values[k]), solved.vectors[:, k],
-            sector_basis(n_particles, sector))
+    return k + 1, float(solved.values[k]), solved.vectors[:, k]

@@ -115,10 +115,6 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _parse_sector(name: str) -> Parity:
-    return Parity(name)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -141,11 +137,10 @@ def cmd_spectrum(args) -> tuple[list[str], list[list], dict]:
             )
     s = full_spectrum(args.n, args.lam)
     selector = args.sector
+    values = s.levels(selector)
     if selector == "merged":
-        values = s.merged
         sector_tags = [str(p) for p in s.merged_parity]
     else:
-        values = s.sector_values(Parity(selector))
         sector_tags = [selector] * len(values)
     count = min(len(values), args.n // 2) if args.lower_half else len(values)
     header = ["k", "x", "E", "eps", "sector"]
@@ -173,7 +168,7 @@ def cmd_gaps(args) -> tuple[list[str], list[list], dict]:
         raise UsageError(f"the {args.sector} sector of N={args.n} holds "
                          f"{levels} level; gaps need at least 2")
     s = full_spectrum(args.n, args.lam)
-    sector = _parse_sector(args.sector)
+    sector = Parity(args.sector)
     g = gaps(s, sector)
     values = s.sector_values(sector)
     header = ["k", "e_low", "e_high", "gap"]
@@ -226,7 +221,7 @@ def cmd_eps(args) -> tuple[list[str], list[list], dict]:
             "0 <= --im-min < --im-max"
         )
     sectors = ([Parity.EVEN, Parity.ODD] if args.sector == "both"
-               else [_parse_sector(args.sector)])
+               else [Parity(args.sector)])
     region = (args.re_min, args.re_max, args.im_min, args.im_max)
     rows = []
     for sector in sectors:
@@ -286,7 +281,7 @@ def cmd_fit(args) -> tuple[list[str], list[list], dict]:
 
 
 def cmd_localization(args) -> tuple[list[str], list[list], dict]:
-    sector = _parse_sector(args.sector)
+    sector = Parity(args.sector)
     block = build_block(args.n, args.lam, sector)
     res = eig_real_tridiag(block, want_vectors=True)
     header = ["k", "E", "eps", "ipr", "m_peak"]
@@ -296,8 +291,7 @@ def cmd_localization(args) -> tuple[list[str], list[list], dict]:
         peak = block.diag[int(np.argmax(np.abs(vec)))]
         rows.append([k, res.values[k - 1],
                      2.0 * res.values[k - 1] / args.n, ipr(vec), peak])
-    k_crit, e_crit, vec, _ = critical_state(args.n, args.lam, sector,
-                                            solved=res)
+    k_crit, _, vec = critical_state(args.n, res)
     return header, rows, {"critical_level": k_crit,
                           "critical_level_ipr": ipr(vec)}
 

@@ -11,6 +11,7 @@ dense matrices never appear outside the test oracles.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,21 @@ def ladder_couplings(n_particles: int, parity: Parity) -> np.ndarray:
     return np.sqrt(radicand) / (2.0 * n_particles)
 
 
+@functools.lru_cache(maxsize=64)
+def _sector_arrays(n_particles: int, parity: Parity) -> tuple[np.ndarray, np.ndarray]:
+    """The m-grid and unit-coupling ladder factors of one sector.
+
+    Built once per (N, parity) and shared read-only by block assembly,
+    the complex solver and the determinant recurrence, which only vary
+    g and E.
+    """
+    diag = sector_basis(n_particles, parity)
+    factors = ladder_couplings(n_particles, parity)
+    diag.flags.writeable = False
+    factors.flags.writeable = False
+    return diag, factors
+
+
 @dataclass(frozen=True)
 class TridiagonalBlock:
     """One sector of H(g) as a symmetric tridiagonal matrix.
@@ -90,10 +106,10 @@ def build_block(n_particles: int, coupling, parity: Parity) -> TridiagonalBlock:
     """Assemble the tridiagonal sector block of H at the given coupling.
 
     Real coupling gives a real symmetric block; complex coupling gives a
-    complex symmetric one (the diagonal stays real either way).
+    complex symmetric one (the diagonal stays real either way).  The
+    diagonal is the sector's shared read-only m-grid.
     """
-    diag = sector_basis(n_particles, parity)
-    factors = ladder_couplings(n_particles, parity)
+    diag, factors = _sector_arrays(n_particles, parity)
     g = complex(coupling)
     # a coupling too large for the double range leaves inf entries,
     # which eig_real_tridiag rejects with the cause named

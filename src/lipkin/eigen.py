@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import cython_lapack
 
-from .core import Parity, TridiagonalBlock, ladder_couplings, sector_basis
+from .core import Parity, TridiagonalBlock, _sector_arrays
 
 
 #: upper bound on the bytes of one dense stack handed to LAPACK at once
@@ -61,20 +61,6 @@ _PTR = ctypes.c_void_p
 # dstevd(jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info)
 _DSTEVD = _lapack_function("dstevd", ctypes.c_char_p, _INT, _PTR, _PTR,
                            _PTR, _INT, _PTR, _INT, _PTR, _INT, _INT)
-
-
-@functools.lru_cache(maxsize=64)
-def _sector_arrays(n_particles: int, parity: Parity) -> tuple[np.ndarray, np.ndarray]:
-    """The m-grid and unit-coupling ladder factors of one sector.
-
-    Built once per (N, parity) and shared read-only by the complex
-    solver and the determinant recurrence, which only vary g and E.
-    """
-    diag = sector_basis(n_particles, parity)
-    factors = ladder_couplings(n_particles, parity)
-    diag.flags.writeable = False
-    factors.flags.writeable = False
-    return diag, factors
 
 
 @dataclass(frozen=True)

@@ -75,10 +75,6 @@ class ExceptionalPoint:
     residual: float
     pair: tuple[int, int] | None = None
 
-    @property
-    def scaled_energy(self) -> complex:
-        return 2.0 * self.energy_star / self.n_particles
-
 
 def _residual_certificate(n: int, parity: Parity, g: complex,
                           energy: complex) -> float:
@@ -122,7 +118,12 @@ def ep_refine(n_particles: int, sector: Parity, lambda_seed: complex,
         raise EpConvergenceError("seeds must be finite")
     converged = False
     for _ in range(_NEWTON_MAX_ITER):
-        st = det_state_at(n_particles, sector, g, energy)
+        try:
+            st = det_state_at(n_particles, sector, g, energy)
+        except OverflowError as exc:
+            raise EpConvergenceError(
+                f"the determinant recurrence overflows at g={g}, E={energy}"
+            ) from exc
         jac = np.array([[st.d_e, st.d_g], [st.d_ee, st.d_eg]])
         rhs = np.array([st.det, st.d_e])
         try:

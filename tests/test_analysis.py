@@ -8,9 +8,7 @@ from lipkin import (
     NoCrossingError,
     Parity,
     TridiagonalBlock,
-    UndefinedAtCriticalCoupling,
     build_block,
-    critical_lambda,
     critical_state,
     critical_x,
     eig_real_tridiag,
@@ -18,10 +16,7 @@ from lipkin import (
     gap_ratio_eq3,
     gaps,
     ipr,
-    level_vs_coupling,
     loglog_slope,
-    mf_excitation,
-    mf_ground_scaled,
     min_gap,
     scaled_spectrum,
     scaling_exponent_eq2,
@@ -62,7 +57,8 @@ def test_scaled_spectrum_examples():
     assert np.allclose(ss.eps, [-1.0, -0.5])
 
     ss = scaled_spectrum(full_spectrum(1000, 5.0), "merged")
-    assert ss.eps[0] == pytest.approx(mf_ground_scaled(5.0), abs=0.01)
+    # the mean-field ground state -(g + 1/g)/2
+    assert ss.eps[0] == pytest.approx(-0.5 * (5.0 + 1.0 / 5.0), abs=0.01)
 
 
 @given(n=st.integers(min_value=2, max_value=100),
@@ -129,24 +125,10 @@ def test_critical_x_monotone_in_coupling():
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_mean_field_examples():
-    assert mf_excitation(0.6, 1) == pytest.approx(0.8, abs=1e-15)
-    assert mf_excitation(3.0, 2) == pytest.approx(8.0, abs=1e-12)
-    assert mf_excitation(0.0, 5) == pytest.approx(5.0, abs=0)
-    with pytest.raises(UndefinedAtCriticalCoupling):
-        mf_excitation(1.0, 1)
-
-    assert mf_ground_scaled(1.0) == -1.0
-    assert mf_ground_scaled(5.0) == pytest.approx(-2.6, abs=1e-15)
-    assert mf_ground_scaled(10.0) == pytest.approx(-5.05, abs=1e-15)
-    with pytest.raises(ValueError):
-        mf_ground_scaled(0.9)
-
-
 def test_ground_state_bound_consistency():
     for lam in [1.0, 2.0, 5.0]:
         eps_1 = 2.0 * full_spectrum(1000, lam).merged[0] / 1000
-        assert eps_1 >= mf_ground_scaled(lam) - 0.01
+        assert eps_1 >= -0.5 * (lam + 1.0 / lam) - 0.01
 
 
 def test_loglog_slope_recovers_synthetic_power_law():
@@ -260,7 +242,10 @@ def test_critical_state_localizes_on_lowest_weight():
     # over O(N) sites.  The edge profile is N-independent (the edge
     # couplings and detunings both scale as 1/N), so the IPR saturates
     # around 0.11 for coupling 5 instead of approaching 1.
-    k, energy, vec, m_grid = critical_state(500, 5.0)
+    block = build_block(500, 5.0, Parity.EVEN)
+    k, energy, vec = critical_state(
+        500, eig_real_tridiag(block, want_vectors=True))
+    m_grid = block.diag
     assert 2.0 * energy / 500 == pytest.approx(-1.0, abs=0.05)
     weights = np.abs(vec) ** 2
     assert m_grid[int(np.argmax(weights))] == m_grid[0] == -250.0
@@ -269,26 +254,27 @@ def test_critical_state_localizes_on_lowest_weight():
     assert ipr(vec) == pytest.approx(0.1132, abs=0.01)  # frozen profile
 
 
-def test_critical_state_reuses_a_given_solve():
-    block = build_block(300, 5.0, Parity.ODD)
-    solved = eig_real_tridiag(block, want_vectors=True)
-    k, energy, vec, m_grid = critical_state(300, 5.0, Parity.ODD, solved)
-    fresh = critical_state(300, 5.0, Parity.ODD)
-    assert (k, energy) == fresh[:2]
-    assert np.array_equal(vec, fresh[2])
-    assert np.array_equal(m_grid, fresh[3])
-
-
 def test_critical_state_edge_profile_is_scale_free():
-    iprs = [ipr(critical_state(n, 5.0)[2]) for n in (500, 1000, 2000)]
+    iprs = []
+    for n in (500, 1000, 2000):
+        solved = eig_real_tridiag(build_block(n, 5.0, Parity.EVEN),
+                                  want_vectors=True)
+        iprs.append(ipr(critical_state(n, solved)[2]))
     assert all(0.08 < v < 0.25 for v in iprs)
 
 
 def test_spectral_derivative_flat_spectrum():
-    ss = scaled_spectrum(full_spectrum(64, 0.0), "merged")
-    for stride in (1, 2):
-        _, slope = spectral_derivative(ss, stride=stride)
-        assert np.allclose(slope, 1.0, atol=1e-10)
+    # at g = 0 merged levels step by 1 and sector levels by 2 per level,
+    # against dx = 2/N per level either way; the stride follows the
+    # selector (2 on merged, 1 on a sector)
+    s = full_spectrum(64, 0.0)
+    for selector, stride, slope_at_zero in [("merged", 2, 1.0),
+                                            ("even", 1, 2.0),
+                                            ("odd", 1, 2.0)]:
+        ss = scaled_spectrum(s, selector)
+        xm, slope = spectral_derivative(ss)
+        assert len(xm) == len(ss.x) - stride
+        assert np.allclose(slope, slope_at_zero, atol=1e-10)
 
 
 def test_spectral_derivative_vanishes_at_bottom_at_critical_coupling():
@@ -306,16 +292,3 @@ def test_spectral_derivative_minimum_sits_at_crossing():
     xm, slope = spectral_derivative(ss)
     x_c = critical_x(n, 5.0, spectrum=s)
     assert abs(xm[int(np.argmin(slope))] - x_c) <= 2.0 * (2.0 / n)
-
-
-def test_level_vs_coupling_and_critical_lambda():
-    n, k = 512, 33
-    lams = np.arange(1.7, 2.45, 0.005)
-    eps_k = level_vs_coupling(n, k, Parity.EVEN, lams)
-    assert np.all(np.diff(eps_k) < 0)  # the level descends with coupling
-    lam_c = critical_lambda(n, k, Parity.EVEN, lams, eps_k)
-    # sector level 33 sits at merged position ~ 2k, x ~ 0.25, whose
-    # crossing coupling is ~2 by the crossing-count consistency
-    assert lam_c == pytest.approx(2.0, abs=0.05)
-    with pytest.raises(NoCrossingError):
-        critical_lambda(n, k, Parity.EVEN, np.array([1.0, 1.05]))

@@ -343,14 +343,35 @@ def test_eps_failed_solve_on_one_walk_blanks_only_that_pair(monkeypatch):
 
 
 def test_benchmark_tracer_binding_names():
-    # bench/tracing.py hooks these names and argument names; after a
-    # rename its per-layer counters would silently read 0
+    # bench/tracing.py hooks these names and argument names, and the
+    # benchmark's per-layer metrics read the spans of the functions
+    # below; after a rename a counter would silently read 0
     import inspect
 
+    import lipkin.analysis
     import lipkin.cli
+    import lipkin.core
     import lipkin.eigen
     import lipkin.excpt
+    import lipkin.logfit
     from lipkin import Parity, build_block
+
+    for module, name in [
+        (lipkin.core, "build_block"),
+        (lipkin.eigen, "eig_real_tridiag"),
+        (lipkin.eigen, "eig_complex_tridiag"),
+        (lipkin.eigen, "det_state_at"),
+        (lipkin.analysis, "full_spectrum"),
+        (lipkin.analysis, "critical_state"),
+        (lipkin.excpt, "ep_scan"),
+        (lipkin.excpt, "ep_refine"),
+        (lipkin.excpt, "ep_pair_id"),
+        (lipkin.logfit, "fit_spectrum_side"),
+        (lipkin.logfit, "derivative_comparison"),
+    ]:
+        fn = getattr(module, name, None)
+        assert inspect.isfunction(fn), f"{module.__name__}.{name}"
+        assert fn.__module__ == module.__name__, f"{module.__name__}.{name}"
 
     assert lipkin.excpt.det_state_at is lipkin.eigen.det_state_at
     assert lipkin.excpt.eig_complex_tridiag \
@@ -376,6 +397,20 @@ def test_overflowing_coupling_is_named(argv):
     assert out == ""
     assert "numerical failure: the coupling overflows the off-diagonal of " \
         "the N=64 even block" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eps", "--n", "4", "--re-max", "1e308", "--im-max", "1", "--grid", "2"],
+    ["eps", "--n", "9", "--re-max", "1", "--im-max", "1e200", "--grid", "3"],
+])
+def test_overflowing_eps_seeds_are_dropped(argv):
+    # the determinant recurrence overflows on these seeds; the scan drops
+    # them as it drops any seed whose refinement fails
+    code, out, err = run_cli(argv)
+    assert code == 0
+    assert out == ("re_lambda,im_lambda,re_E,im_E,k,k_next,sector,"
+                   "residual\n")
+    assert "Traceback" not in err
 
 
 def test_public_functions_run_on_the_main_thread(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import lipkin.core
 import lipkin.eigen
 from lipkin import (
     Parity,
@@ -13,8 +14,8 @@ from lipkin import (
     build_block,
     eig_complex_tridiag,
     eig_real_tridiag,
-    ladder_couplings,
 )
+from lipkin.core import ladder_couplings
 from lipkin.eigen import det_state_at
 
 from oracles import dense_sector_block
@@ -290,20 +291,25 @@ def test_stacked_solver_failed_block_gives_nan_row(n, monkeypatch):
 
 def test_sector_arrays_built_once_and_read_only(monkeypatch):
     calls = []
-    real_basis = lipkin.eigen.sector_basis
-    real_factors = lipkin.eigen.ladder_couplings
-    monkeypatch.setattr(lipkin.eigen, "sector_basis",
+    real_basis = lipkin.core.sector_basis
+    real_factors = lipkin.core.ladder_couplings
+    monkeypatch.setattr(lipkin.core, "sector_basis",
                         lambda *a: calls.append("basis") or real_basis(*a))
-    monkeypatch.setattr(lipkin.eigen, "ladder_couplings",
+    monkeypatch.setattr(lipkin.core, "ladder_couplings",
                         lambda *a: calls.append("factors") or real_factors(*a))
-    lipkin.eigen._sector_arrays.cache_clear()
-    for g in (0.5 + 1.0j, 1.5 + 0.2j):
+    lipkin.core._sector_arrays.cache_clear()
+    det_state_at(14, Parity.ODD, 0.5 + 1.0j, 0.3)  # builds the arrays
+    built = list(calls)
+    assert built.count("factors") == 1
+    for g in (0.5 + 1.0j, 1.5 + 0.2j, 0.7):
         det_state_at(14, Parity.ODD, g, 0.3)
         eig_complex_tridiag(14, Parity.ODD, [g])
-    assert calls == ["basis", "factors"]
-    diag, factors = lipkin.eigen._sector_arrays(14, Parity.ODD)
+        block = build_block(14, g, Parity.ODD)
+    assert calls == built
+    diag, factors = lipkin.core._sector_arrays(14, Parity.ODD)
+    assert block.diag is diag
     assert not diag.flags.writeable and not factors.flags.writeable
-    lipkin.eigen._sector_arrays.cache_clear()
+    lipkin.core._sector_arrays.cache_clear()
 
 
 @given(re=st.floats(-3, 3), im=st.floats(-3, 3))

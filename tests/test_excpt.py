@@ -16,9 +16,9 @@ from lipkin import (
     ep_pair_id,
     ep_refine,
     ep_scan,
-    ladder_couplings,
     near_real_ep_count,
 )
+from lipkin.core import ladder_couplings
 from lipkin.eigen import det_state_at
 
 from test_eigen import dense_lex_eigvals
@@ -58,6 +58,12 @@ def test_refine_rejects_real_axis_as_spurious():
 def test_refine_rejects_nonsense_seed():
     with pytest.raises(EpConvergenceError):
         ep_refine(2, Parity.EVEN, complex("inf"), 0.0j)
+
+
+def test_refine_overflowing_seed_is_convergence_error():
+    # (g * factor)**2 overflows the complex range inside the recurrence
+    with pytest.raises(EpConvergenceError, match="recurrence overflows"):
+        ep_refine(4, Parity.EVEN, 1e200 + 0.5j, 0.1)
 
 
 def test_scan_isolated_analytic_point():

@@ -6,16 +6,16 @@ import pytest
 from lipkin import (
     FitError,
     Parity,
-    critical_lambda,
+    build_block,
     critical_x,
     derivative_comparison,
+    eig_real_tridiag,
     fit_derivative,
     fit_eval,
     fit_second_derivative,
     fit_singularity,
     fit_spectrum_side,
     full_spectrum,
-    level_vs_coupling,
     scaled_spectrum,
     window_points,
 )
@@ -132,8 +132,17 @@ def test_coupling_variable_variant():
     # coupling, with the crossing coupling in place of x_c
     n, k = 512, 33
     lams = np.arange(1.70, 2.45, 0.005)
-    eps_k = level_vs_coupling(n, k, Parity.EVEN, lams)
-    lam_c = critical_lambda(n, k, Parity.EVEN, lams, eps_k)
+    blocks = [build_block(n, lam, Parity.EVEN) for lam in lams]
+    levels = eig_real_tridiag(blocks).values.reshape(len(lams), -1)
+    eps_k = 2.0 * levels[:, k - 1] / n
+    assert np.all(np.diff(eps_k) < 0)  # the level descends with coupling
+    i = int(np.argmax(eps_k <= -1.0))  # first grid point below the line
+    assert i > 0 and eps_k[-1] <= -1.0
+    lam_c = lams[i - 1] + (-1.0 - eps_k[i - 1]) * (lams[i] - lams[i - 1]) \
+        / (eps_k[i] - eps_k[i - 1])
+    # sector level 33 sits at merged position ~ 2k, x ~ 0.25, whose
+    # crossing coupling is ~2 by the crossing-count consistency
+    assert lam_c == pytest.approx(2.0, abs=0.05)
     y = eps_k + 1.0
     for side in ("left", "right"):
         t = lams - lam_c
