@@ -40,14 +40,12 @@ class Spectrum:
     merged: np.ndarray = field(repr=False)
     merged_parity: np.ndarray = field(repr=False)  # Parity per merged level
 
-    def sector_values(self, sector: Parity) -> np.ndarray:
-        return self.even_values if sector is Parity.EVEN else self.odd_values
-
     def levels(self, selector: str) -> np.ndarray:
         """The ascending levels of "merged", "even" or "odd"."""
         if selector == "merged":
             return self.merged
-        return self.sector_values(Parity(selector))
+        even = Parity(selector) is Parity.EVEN
+        return self.even_values if even else self.odd_values
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ def scaled_spectrum(s: Spectrum, selector: str = "merged") -> ScaledSpectrum:
 
 def gaps(s: Spectrum, sector: Parity) -> np.ndarray:
     """Consecutive same-sector level distances, E_{k+1} - E_k."""
-    values = s.sector_values(sector)
+    values = s.levels(sector.value)
     if len(values) < 2:
         raise ValueError(
             f"sector {sector} has {len(values)} level(s); no gaps to take"
@@ -126,7 +124,7 @@ def min_gap(s: Spectrum, sector: Parity) -> tuple[int, float]:
     lower level, so that k_c/(N/2) lines up with the crossing position
     x_c of the scaled spectrum.  Ties go to the smallest index.
     """
-    values = s.sector_values(sector)
+    values = s.levels(sector.value)
     i, gap = _lower_half_min_gap(values)
     k_c = int(np.searchsorted(s.merged, values[i], side="left")) + 1
     return k_c, gap
@@ -177,9 +175,9 @@ def loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
 
 
-def _sector_gap(n: int, coupling: float, k: int, sector: Parity) -> float:
-    """E_{k+1} - E_k of one sector, from those two levels alone."""
-    block = build_block(n, coupling, sector)
+def _sector_gap(n: int, coupling: float, k: int) -> float:
+    """E_{k+1} - E_k of the EVEN sector, from those two levels alone."""
+    block = build_block(n, coupling, Parity.EVEN)
     if k > block.dimension - 1:
         raise ValueError(
             f"sector has only {block.dimension - 1} gaps, asked for k={k}"
@@ -189,20 +187,19 @@ def _sector_gap(n: int, coupling: float, k: int, sector: Parity) -> float:
 
 
 def scaling_exponent_eq2(k: int, n_list: Sequence[int],
-                         coupling: float = 1.0,
-                         sector: Parity = Parity.EVEN) -> ScalingReport:
+                         coupling: float = 1.0) -> ScalingReport:
     """Finite-size decay of the k-th same-sector gap at fixed k.
 
     At the critical coupling the gap scales like (k/N)^(1/3), so the
     log-log slope against N comes out near -1/3.  Each N solves for
-    levels k and k+1 of the one sector only.
+    levels k and k+1 of the EVEN sector only.
     """
     if k < 1:
         raise ValueError(f"gap index k must be >= 1, got {k}")
     n_list = sorted(int(n) for n in n_list)
     if any(n < 2 * k + 2 for n in n_list):
         raise ValueError(f"all N must be >= 2k+2 = {2 * k + 2}")
-    samples = [(n, _sector_gap(n, coupling, k, sector)) for n in n_list]
+    samples = [(n, _sector_gap(n, coupling, k)) for n in n_list]
     slope = loglog_slope([n for n, _ in samples], [g for _, g in samples])
     return ScalingReport(samples, slope)
 

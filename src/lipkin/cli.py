@@ -97,20 +97,6 @@ def _emit(text: str, path: str | None) -> None:
         raise
 
 
-def _rows_to_json(header: list[str], rows: list[list]) -> list[dict]:
-    out = []
-    for row in rows:
-        item = {}
-        for key, value in zip(header, row):
-            if isinstance(value, (np.floating,)):
-                value = float(value)
-            elif isinstance(value, (np.integer,)):
-                value = int(value)
-            item[key] = value
-        out.append(item)
-    return out
-
-
 def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
@@ -170,7 +156,7 @@ def cmd_gaps(args) -> tuple[list[str], list[list], dict]:
     s = full_spectrum(args.n, args.lam)
     sector = Parity(args.sector)
     g = gaps(s, sector)
-    values = s.sector_values(sector)
+    values = s.levels(args.sector)
     header = ["k", "e_low", "e_high", "gap"]
     rows = [[k, values[k - 1], values[k], g[k - 1]]
             for k in range(1, len(g) + 1)]
@@ -446,9 +432,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "csv":
             text = _csv_lines(header, rows)
         else:
-            # allow_nan=False: a NaN or infinity in the results raises
-            # ValueError here instead of emitting invalid JSON
-            results = {"rows": _rows_to_json(header, rows), **extra}
+            # rows hold ints, strings and floats (np.float64 is a float to
+            # json); allow_nan=False: a NaN or infinity in the results
+            # raises ValueError here instead of emitting invalid JSON
+            results = {"rows": [dict(zip(header, row)) for row in rows],
+                       **extra}
             text = _json_payload(_config_echo(args),
                                  results,
                                  elapsed if args.timing else None)

@@ -7,7 +7,7 @@ Three routes, each matched to where it is used:
   solves call it through scipy's Cython LAPACK table by ctypes, which
   releases the interpreter lock for the call, so the blocks of one
   request (the two parity sectors, a sweep over N or over g) are solved
-  concurrently on a pool sized to the CPUs this process may use;
+  concurrently, on threads the call starts and joins (up to one per CPU);
 * complex coupling: dense Hessenberg QR (LAPACK zgeev), with the
   blocks of one sector at many couplings solved as one stack (they
   differ only in g); branch-point searches never exceed dim ~ 100, so
@@ -21,10 +21,9 @@ Three routes, each matched to where it is used:
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import os
-from concurrent.futures import wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -77,29 +76,32 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
     """Eigenvalues of real-coupling blocks, ascending within each block.
 
     blocks is one block or a sequence of them.  For a sequence, values
-    holds every block's levels concatenated in the order given; the
-    blocks are solved concurrently on a pool of threads, largest first.  index_range=(lo, hi)
-    asks for levels lo..hi of a single block only (0-based, inclusive),
-    found by Sturm-count bisection at O(dim) per level; use it when a
-    few levels are needed, never for the whole spectrum, where bisection
-    is an order of magnitude slower than the full solve.  Vectors, when
-    requested of a single block, come back column-aligned with the
-    values and orthonormal.
+    holds every block's levels concatenated in the order given.  Without
+    vectors or index_range the blocks are solved concurrently, largest
+    first, on worker threads that are joined before the call returns.
+    index_range=(lo, hi) asks for levels lo..hi of a single block only
+    (0-based, inclusive), found by Sturm-count bisection at O(dim) per
+    level; use it when a few levels are needed, never for the whole
+    spectrum, where bisection is an order of magnitude slower than the
+    full solve.  Vectors, when requested of a single block, come back
+    column-aligned with the values and orthonormal.
     """
     batch = [blocks] if isinstance(blocks, TridiagonalBlock) else list(blocks)
     for block in batch:
         _check_real(block)
     if not want_vectors and index_range is None:
-        if len(batch) == 1:  # nothing to overlap: skip the thread handoff
-            return EigenResult(_values(batch[0]), None)
-        pool = _pool()
+        if not batch:
+            return EigenResult(np.empty(0), None)
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
         futures = [None] * len(batch)
-        for i in sorted(range(len(batch)), key=lambda i: batch[i].dimension,
-                        reverse=True):
-            futures[i] = pool.submit(_values, batch[i])
-        wait(futures)
-        levels = [f.result() for f in futures]
-        return EigenResult(np.concatenate(levels) if levels else np.empty(0),
+        with ThreadPoolExecutor(max_workers=min(len(batch), cpus),
+                                thread_name_prefix="lipkin-eigen") as pool:
+            for i in sorted(range(len(batch)),
+                            key=lambda i: batch[i].dimension, reverse=True):
+                futures[i] = pool.submit(_values, batch[i])
+        # read in input order, so the first failing block's error surfaces
+        return EigenResult(np.concatenate([f.result() for f in futures]),
                            None)
     if len(batch) != 1:
         raise ValueError("vectors and index_range take a single block, "
@@ -113,14 +115,9 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
                 f"level range ({lo}, {hi}) is outside 0..{block.dimension - 1}"
             )
         select = {"select": "i", "select_range": (lo, hi)}
-    if block.dimension == 1:
-        values = block.diag.copy()
-        vectors = np.ones((1, 1)) if want_vectors else None
-    else:
-        solved = scipy.linalg.eigh_tridiagonal(
-            block.diag, block.offdiag, eigvals_only=not want_vectors,
-            **select)
-        values, vectors = solved if want_vectors else (solved, None)
+    solved = scipy.linalg.eigh_tridiagonal(
+        block.diag, block.offdiag, eigvals_only=not want_vectors, **select)
+    values, vectors = solved if want_vectors else (solved, None)
     return EigenResult(values, vectors)
 
 
@@ -142,31 +139,11 @@ def _check_real(block: TridiagonalBlock) -> None:
                      "g times the ladder factors exceeds the double range")
 
 
-@functools.cache
-def _pool():
-    """The worker threads of batched real solves, one per usable CPU,
-    started on first use."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=workers,
-                              thread_name_prefix="lipkin-eigen")
-
-
-# a forked child inherits the pool but not its threads, and would wait
-# forever on work queued to them; it starts a pool of its own instead
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
 def _values(block: TridiagonalBlock) -> np.ndarray:
     """All levels of one checked real block, ascending: LAPACK dstevd
     with jobz='N', the routine scipy's eigh_tridiagonal runs by default,
-    called without the interpreter lock.  Runs on the pool's threads, so
-    it touches no public function of the package.  A 1x1 block comes
+    called without the interpreter lock.  Runs on worker threads, so it
+    touches no public function of the package.  A 1x1 block comes
     back as its diagonal, as from scipy."""
     d = np.array(block.diag, dtype=float)  # overwritten with the levels
     e = np.array(block.offdiag, dtype=float)  # destroyed

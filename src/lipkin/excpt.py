@@ -14,10 +14,11 @@ coalesce on a grid.
 
 Spectral symmetries used here: eigenvalues come in conjugate pairs
 under g -> conj(g), so every EP has a mirror in the lower half-plane
-and the canonical representative carries Im g >= 0.  Within a sector
-the spectrum is symmetric under E -> -E, so each g* hosts a pair of
-EPs at +-E*; they count once per g*, matching how branch points are
-plotted and counted per coupling.
+and the canonical representative carries Im g >= 0.  Under E -> -E the
+spectrum of one sector maps onto itself for even N, and onto the other
+sector's for odd N, where the two m-grids mirror each other.  Either
+way each g* hosts a pair of EPs at +-E*; they count once per g*,
+matching how branch points are plotted and counted per coupling.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Parity, build_block, sector_basis
-from .eigen import det_state_at, eig_complex_tridiag, eig_real_tridiag
+from .core import Parity, sector_basis
+from .eigen import det_state_at, eig_complex_tridiag
 
 _DEDUP_RADIUS = 1e-6
 _RESIDUAL_LIMIT = 1e-8
@@ -206,8 +207,7 @@ def ep_scan(n_particles: int, sector: Parity,
         nx = ny = grid
     else:
         nx, ny = grid
-    xs = re0 + (np.arange(nx) + 0.5) * (re1 - re0) / nx
-    ys = im0 + (np.arange(ny) + 0.5) * (im1 - im0) / ny
+    xs, ys = _cell_centres(re0, re1, nx), _cell_centres(im0, im1, ny)
     gap = np.empty((ny, nx))
     mid = np.empty((ny, nx), dtype=complex)
     failed = 0
@@ -252,12 +252,23 @@ def ep_scan(n_particles: int, sector: Parity,
     return found
 
 
+def _cell_centres(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centres of n equal cells on [lo, hi]: lo + (i + 1/2)(hi - lo)/n,
+    which fixes the digits of every scan, or where that overflows, the
+    overflow-free lo (1 - t) + hi t with t = (i + 1/2)/n."""
+    i = np.arange(n) + 0.5
+    with np.errstate(over="ignore"):
+        centres = lo + i * (hi - lo) / n
+        return np.where(np.isfinite(centres), centres,
+                        lo * (1.0 - i / n) + hi * (i / n))
+
+
 def _track_pair(n: int, sector: Parity, lam: complex, energy: complex,
-                steps: int, ratio: float) -> np.ndarray:
+                steps: int, ratio: float) -> list[int]:
     """Follow the two coalescing eigenvalues while Im g shrinks
-    geometrically, matching by distance to the previous pair.  The whole
-    walk is one stacked solve; a failed solve anywhere on it is a
-    tracking failure."""
+    geometrically, matching by distance to the previous pair, and return
+    their indices in the walk's last row.  The whole walk is one stacked
+    solve; a failed solve anywhere on it is a tracking failure."""
     couplings = [lam.real + 1j * lam.imag * ratio ** t
                  for t in range(1, steps + 1)]
     rows = eig_complex_tridiag(n, sector, couplings)
@@ -283,7 +294,7 @@ def _track_pair(n: int, sector: Parity, lam: complex, energy: complex,
                     i0 = int(np.argmin(d0))
             idx = [i0, i1]
         current = w[idx]
-    return current
+    return idx
 
 
 def ep_pair_id(ep: ExceptionalPoint) -> tuple[int, int]:
@@ -292,24 +303,23 @@ def ep_pair_id(ep: ExceptionalPoint) -> tuple[int, int]:
     Walks the coupling from g* straight down to the real axis, halving
     Im g each step for 60 steps and tracking the two nearly-degenerate
     eigenvalues by continuity; the blocks of one walk are solved in one
-    stacked call.  The endpoints are then matched against the real
-    sector spectrum at Re g*.  EPs with Re E* > 0 are folded to
-    their E -> -E mirror first so the reported pair always sits in the
-    lower half of the spectrum.  If the tracked endpoints are not
+    stacked call.  The pair is (k, k+1), 1-based levels of the EP's own
+    sector at Re g*.  For even N, E -> -E maps a sector onto itself and
+    an EP with Re E* > 0 is folded to -E* first, so the pair sits in the
+    lower half of the spectrum; for odd N the mirror is in the other
+    sector and the walk starts at E*.  If the tracked endpoints are not
     adjacent levels the walk is retried with a finer step (factor
     sqrt(1/2), 180 steps) before giving up.  A failed eigensolve on a
     walk raises EpTrackingError at once.
     """
     energy = ep.energy_star
-    if energy.real > 0:
+    if energy.real > 0 and ep.n_particles % 2 == 0:
         energy = -energy
-    real_block = build_block(ep.n_particles, ep.lambda_star.real, ep.sector)
-    real_levels = eig_real_tridiag(real_block).values
     for n_steps, r in [(60, 0.5), (180, math.sqrt(0.5))]:
-        tracked = _track_pair(ep.n_particles, ep.sector, ep.lambda_star,
-                              energy, n_steps, r)
-        ks = sorted(int(np.argmin(np.abs(real_levels - t.real)))
-                    for t in tracked)
+        # rows are sorted by real part and the walk ends at Im g = Im g*
+        # * 2**-60 (2**-90 on the retry): a last-row index is a rank at Re g*
+        ks = sorted(_track_pair(ep.n_particles, ep.sector, ep.lambda_star,
+                                energy, n_steps, r))
         if ks[1] == ks[0] + 1:
             return ks[0] + 1, ks[1] + 1
     raise EpTrackingError(

@@ -413,6 +413,44 @@ def test_overflowing_eps_seeds_are_dropped(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,re_min", [
+    (["eps", "--n", "2", "--re-max", "1e308", "--im-max", "1", "--grid", "3"],
+     0.0),
+    (["eps", "--n", "4", "--re-min=-1e308", "--re-max", "1e308",
+      "--im-max", "1", "--grid", "3"], -1e308),
+])
+def test_scan_cells_of_a_region_spanning_the_double_range(argv, re_min,
+                                                          monkeypatch):
+    import lipkin.excpt
+
+    centres = []
+    real_solver = lipkin.excpt.eig_complex_tridiag
+
+    def recording(n, parity, couplings):
+        if len(couplings) == 3:  # a grid row, not a pair-tracking walk
+            centres.extend(couplings)
+        return real_solver(n, parity, couplings)
+
+    monkeypatch.setattr(lipkin.excpt, "eig_complex_tridiag", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, no skipped cell
+        code, out, _ = run_cli(argv)
+    assert code == 0
+    assert len(centres) == 2 * 9  # both sectors, every cell
+    for g in centres:
+        assert math.isfinite(g.real) and re_min < g.real < 1e308
+        assert 0.0 < g.imag < 1.0
+    rows = out.splitlines()[1:]
+    if re_min == 0.0:
+        assert rows == []
+    else:
+        # the cell column at Re g = 0 finds the analytic branch point
+        # of the N=4 odd block at g* = 4i/3
+        re_g, im_g, *_, sector, _ = rows[0].split(",")
+        assert len(rows) == 1 and sector == "odd"
+        assert abs(complex(float(re_g), float(im_g)) - 4j / 3) < 1e-12
+
+
 def test_public_functions_run_on_the_main_thread(monkeypatch):
     # bench/tracing.py keeps one span stack for all threads, so the
     # solver's worker threads must run private code only

@@ -1,10 +1,10 @@
 """Golden CLI output: the exit code and the sha256 of stdout per argv.
 
-The argvs are the README commands, the dataset scripts' commands and a
-few JSON forms.  `cli_golden.json` holds the digests; it records the
-behaviour contract, so a refactor must match it rather than rewrite it.
-Odd-N `eps` runs are left out on purpose: their pair labels are known to
-be wrong and will change when they are fixed.
+The argvs are the README commands, the dataset scripts' commands, a
+few JSON forms and odd-N `eps` runs, whose pair labels follow a
+convention of their own (see `ep_pair_id`).  `cli_golden.json` holds the
+digests; it records the behaviour contract, so a refactor must match it
+rather than rewrite it.
 """
 
 import hashlib

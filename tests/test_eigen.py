@@ -100,6 +100,11 @@ def test_real_solver_index_range_picks_levels(n):
     for bad in [(-1, 0), (1, 0), (0, dim)]:
         with pytest.raises(ValueError):
             eig_real_tridiag(block, index_range=bad)
+    # the values-only forms, a 1x1 block (n=1) included
+    assert np.allclose(eig_real_tridiag(block).values, full.values,
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(eig_real_tridiag(block, index_range=(0, 0)).values,
+                       full.values[:1], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 64, 1001])
@@ -134,13 +139,32 @@ def _solve_pair_into(queue):
     queue.put(eig_real_tridiag(blocks).values.tobytes())
 
 
+def test_real_solver_batch_leaves_no_threads_behind(monkeypatch):
+    import threading
+
+    before = set(threading.enumerate())
+    blocks = [build_block(64, 2.0, parity) for parity in Parity]
+    eig_real_tridiag(blocks)
+    assert set(threading.enumerate()) == before
+    assert not [t for t in before if t.name.startswith("lipkin-eigen")]
+
+    def no_convergence(*args):
+        args[-1]._obj.value = 3  # info > 0
+
+    monkeypatch.setattr(lipkin.eigen, "_DSTEVD", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError):
+        eig_real_tridiag(blocks)
+    assert set(threading.enumerate()) == before
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_real_solver_batch_works_in_a_forked_child():
-    # the child inherits the parent's pool object but none of its threads
+    # a child forked after a batch, whose threads are all joined by then,
+    # solves batches of its own
     import multiprocessing
 
     blocks = [build_block(64, 2.0, parity) for parity in Parity]
-    expected = eig_real_tridiag(blocks).values.tobytes()  # pool now exists
+    expected = eig_real_tridiag(blocks).values.tobytes()
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_solve_pair_into, args=(queue,))

@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import lipkin.eigen
 import lipkin.excpt
 from lipkin import (
     EpConvergenceError,
@@ -18,7 +20,7 @@ from lipkin import (
     ep_scan,
     near_real_ep_count,
 )
-from lipkin.core import ladder_couplings
+from lipkin.core import ladder_couplings, sector_basis
 from lipkin.eigen import det_state_at
 
 from test_eigen import dense_lex_eigvals
@@ -212,9 +214,11 @@ def reference_seeds(n, parity, region, grid, skip=()):
 
 
 def reference_pair(ep):
-    """The walk of ep_pair_id, one build_block and one solve per step."""
+    """The walk of ep_pair_id, one build_block and one solve per step,
+    matched against the real levels at Re g*.  Only for even N does
+    E -> -E map a sector onto itself, so only then is E* folded."""
     energy = ep.energy_star
-    if energy.real > 0:
+    if energy.real > 0 and ep.n_particles % 2 == 0:
         energy = -energy
     levels = eig_real_tridiag(
         build_block(ep.n_particles, ep.lambda_star.real, ep.sector)).values
@@ -299,13 +303,18 @@ def test_scan_matches_per_cell_reference(n, parity):
 
 def test_scan_solves_one_stack_per_grid_row(monkeypatch):
     calls = count_solves(monkeypatch)
-    builds = []
-    monkeypatch.setattr(lipkin.excpt, "build_block",
-                        lambda *a: builds.append(a) or build_block(*a))
-    found = ep_scan(8, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), (30, 20))
-    assert found
-    assert calls == [30] * 20
-    assert builds == []
+    real_solves = []
+    for module, name in [(lipkin.eigen, "_values"),
+                         (scipy.linalg, "eigh_tridiagonal")]:
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: real_solves.append(a))
+    found = ep_scan(8, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), (30, 20),
+                    identify_pairs=True)
+    assert found and all(ep.pair is not None for ep in found)
+    # one stack per grid row, then one per pair-tracking walk; the pair
+    # labels need no real solve
+    assert calls == [30] * 20 + [60] * len(found)
+    assert real_solves == []
 
 
 def test_scan_skips_exactly_a_failed_cell(monkeypatch):
@@ -350,7 +359,7 @@ def test_pair_id_solves_one_stack_per_walk(monkeypatch):
     def first_walk_ambiguous(*args):
         tracked = real_track(*args)
         walks.append(args[4])
-        return tracked[[0, 0]] if len(walks) == 1 else tracked
+        return [0, 2] if len(walks) == 1 else tracked
 
     monkeypatch.setattr(lipkin.excpt, "_track_pair", first_walk_ambiguous)
     calls.clear()
@@ -371,3 +380,22 @@ def test_pair_id_failed_solve_on_walk_is_tracking_error(monkeypatch):
     monkeypatch.setattr(lipkin.excpt, "eig_complex_tridiag", one_nan_row)
     with pytest.raises(EpTrackingError):
         ep_pair_id(ep)
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_odd_n_mirror_rows_carry_mirrored_labels(n):
+    # for odd N the two sectors mirror each other: an EP at (g*, E*) in
+    # one is an EP at (g*, -E*) in the other, and level k of a sector
+    # with dim levels is level dim + 1 - k of the other
+    found = {parity: ep_scan(n, parity, (0.0, 3.0, 0.0, 3.0), 60,
+                             identify_pairs=True) for parity in Parity}
+    dim = len(sector_basis(n, Parity.EVEN))
+    assert len(found[Parity.EVEN]) == len(found[Parity.ODD]) > 0
+    for ep in found[Parity.EVEN]:
+        twin, = [other for other in found[Parity.ODD]
+                 if abs(other.lambda_star - ep.lambda_star) < 1e-6]
+        assert abs(twin.energy_star + ep.energy_star) < 1e-6
+        k, k_next = ep.pair
+        assert twin.pair == (dim - k, dim + 1 - k)
+    for ep in found[Parity.EVEN] + found[Parity.ODD]:
+        assert ep.pair == reference_pair(ep)
