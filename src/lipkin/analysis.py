@@ -83,6 +83,12 @@ def full_spectrum(n_particles: int, coupling: float) -> Spectrum:
                     parities[tags[order]])
 
 
+def _scaled_energy(energy, n: int):
+    """eps = 2E/N, as E / (N/2): the same correctly rounded value
+    wherever 2E is finite, and finite for every finite E."""
+    return energy / (n / 2)
+
+
 def scaled_spectrum(s: Spectrum, selector: str = "merged") -> ScaledSpectrum:
     """Map the ordered levels of "merged", "even" or "odd" to
     (2k/N, 2E_k/N), k <= N/2."""
@@ -90,7 +96,8 @@ def scaled_spectrum(s: Spectrum, selector: str = "merged") -> ScaledSpectrum:
     n = s.n_particles
     kmax = min(len(values), n // 2)
     k = np.arange(1, kmax + 1)
-    return ScaledSpectrum(2.0 * k / n, 2.0 * values[:kmax] / n, n, selector)
+    return ScaledSpectrum(2.0 * k / n, _scaled_energy(values[:kmax], n), n,
+                          selector)
 
 
 def gaps(s: Spectrum, sector: Parity) -> np.ndarray:
@@ -204,21 +211,25 @@ def scaling_exponent_eq2(k: int, n_list: Sequence[int],
     return ScalingReport(samples, slope)
 
 
-def gap_ratio_eq3(coupling: float, n_list: Sequence[int],
-                  sector: Parity = Parity.EVEN) -> ScalingReport:
+def gap_ratio_eq3(coupling: float, n_list: Sequence[int]) -> ScalingReport:
     """Minimum-gap ratio r(N) = gap_min * ln(N) / (2 pi sqrt(g^2 - 1)).
 
-    gap_min is min_gap's gap, taken from the one sector's spectrum; the
-    blocks of all N are solved in one batch.  Convergence of r toward 1
-    is logarithmically slow; callers should treat the sequence as a
-    trend, not a limit.
+    gap_min is min_gap's gap, taken from the EVEN sector's spectrum, as
+    for eq2; the EVEN blocks of all N are solved in one batch.  Where
+    g^2 overflows, sqrt(g^2 - 1) is taken as sqrt(g - 1) sqrt(g + 1).
+    Convergence of r toward 1 is logarithmically slow; callers should
+    treat the sequence as a trend, not a limit.
     """
     lam = float(coupling)
     if lam <= 1.0:
         raise ValueError("the minimum-gap law needs coupling > 1")
-    denom = 2.0 * math.pi * math.sqrt(lam * lam - 1.0)
+    if math.isfinite(lam * lam):
+        root = math.sqrt(lam * lam - 1.0)
+    else:
+        root = math.sqrt(lam - 1.0) * math.sqrt(lam + 1.0)
+    denom = 2.0 * math.pi * root
     n_list = sorted(int(n) for n in n_list)
-    blocks = [build_block(n, lam, sector) for n in n_list]
+    blocks = [build_block(n, lam, Parity.EVEN) for n in n_list]
     values = eig_real_tridiag(blocks).values
     ends = np.cumsum([b.dimension for b in blocks])[:-1]
     samples = []
@@ -270,6 +281,6 @@ def critical_state(n_particles: int, solved: EigenResult):
     (k, eigenvalue, vector); this is the state that localizes on m = -j
     as N grows.
     """
-    eps = 2.0 * solved.values / n_particles
+    eps = _scaled_energy(solved.values, n_particles)
     k = int(np.argmin(np.abs(eps + 1.0)))
     return k + 1, float(solved.values[k]), solved.vectors[:, k]

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     NoCrossingError,
+    _scaled_energy,
     critical_state,
     critical_x,
     full_spectrum,
@@ -133,7 +134,7 @@ def cmd_spectrum(args) -> tuple[list[str], list[list], dict]:
     rows = []
     for k in range(1, count + 1):
         e = values[k - 1]
-        rows.append([k, 2.0 * k / args.n, e, 2.0 * e / args.n,
+        rows.append([k, 2.0 * k / args.n, e, _scaled_energy(e, args.n),
                      sector_tags[k - 1]])
     if args.derivative:
         ss = scaled_spectrum(s, selector)
@@ -276,7 +277,8 @@ def cmd_localization(args) -> tuple[list[str], list[list], dict]:
         vec = res.vectors[:, k - 1]
         peak = block.diag[int(np.argmax(np.abs(vec)))]
         rows.append([k, res.values[k - 1],
-                     2.0 * res.values[k - 1] / args.n, ipr(vec), peak])
+                     _scaled_energy(res.values[k - 1], args.n), ipr(vec),
+                     peak])
     k_crit, _, vec = critical_state(args.n, res)
     return header, rows, {"critical_level": k_crit,
                           "critical_level_ipr": ipr(vec)}

@@ -84,7 +84,9 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
     level; use it when a few levels are needed, never for the whole
     spectrum, where bisection is an order of magnitude slower than the
     full solve.  Vectors, when requested of a single block, come back
-    column-aligned with the values and orthonormal.
+    column-aligned with the values and orthonormal.  A block whose
+    entries LAPACK cannot take, or whose levels are not finite (they
+    exceed the double range), raises ValueError naming the block.
     """
     batch = [blocks] if isinstance(blocks, TridiagonalBlock) else list(blocks)
     for block in batch:
@@ -101,8 +103,8 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
                             key=lambda i: batch[i].dimension, reverse=True):
                 futures[i] = pool.submit(_values, batch[i])
         # read in input order, so the first failing block's error surfaces
-        return EigenResult(np.concatenate([f.result() for f in futures]),
-                           None)
+        values = [_check_levels(b, f.result()) for b, f in zip(batch, futures)]
+        return EigenResult(np.concatenate(values), None)
     if len(batch) != 1:
         raise ValueError("vectors and index_range take a single block, "
                          f"got {len(batch)}")
@@ -118,7 +120,7 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
     solved = scipy.linalg.eigh_tridiagonal(
         block.diag, block.offdiag, eigvals_only=not want_vectors, **select)
     values, vectors = solved if want_vectors else (solved, None)
-    return EigenResult(values, vectors)
+    return EigenResult(_check_levels(block, values), vectors)
 
 
 def _check_real(block: TridiagonalBlock) -> None:
@@ -137,6 +139,16 @@ def _check_real(block: TridiagonalBlock) -> None:
         raise ValueError(f"{where} holds NaN or infinite entries")
     raise ValueError(f"the coupling overflows the off-diagonal of {where}: "
                      "g times the ladder factors exceeds the double range")
+
+
+def _check_levels(block: TridiagonalBlock, values: np.ndarray) -> np.ndarray:
+    """The levels of one block, or ValueError if any of them is not
+    finite: a finite off-diagonal can still carry levels past the double
+    range."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"the levels of the N={block.n_particles} "
+                         f"{block.parity} block exceed the double range")
+    return values
 
 
 def _values(block: TridiagonalBlock) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Parity, sector_basis
+from .core import Parity
 from .eigen import det_state_at, eig_complex_tridiag
 
 _DEDUP_RADIUS = 1e-6
@@ -170,9 +170,11 @@ def _closest_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of complex eigenvalues: the smallest pairwise distance and
     the midpoint of the closest pair (on ties, the first in row-major
     order of the distance matrix).  A NaN row (failed solve) gets an
-    infinite distance."""
+    infinite distance, and so does a distance beyond the double range:
+    such a pair is not close."""
     n_rows, dim = rows.shape
-    d = np.abs(rows[:, :, None] - rows[:, None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.abs(rows[:, :, None] - rows[:, None, :])
     d[:, np.arange(dim), np.arange(dim)] = np.inf
     d = d.reshape(n_rows, dim * dim)
     k = np.argmin(d, axis=1)
@@ -263,69 +265,54 @@ def _cell_centres(lo: float, hi: float, n: int) -> np.ndarray:
                         lo * (1.0 - i / n) + hi * (i / n))
 
 
-def _track_pair(n: int, sector: Parity, lam: complex, energy: complex,
-                steps: int, ratio: float) -> list[int]:
-    """Follow the two coalescing eigenvalues while Im g shrinks
-    geometrically, matching by distance to the previous pair, and return
-    their indices in the walk's last row.  The whole walk is one stacked
-    solve; a failed solve anywhere on it is a tracking failure."""
-    couplings = [lam.real + 1j * lam.imag * ratio ** t
-                 for t in range(1, steps + 1)]
-    rows = eig_complex_tridiag(n, sector, couplings)
-    if np.isnan(rows).any():
-        raise EpTrackingError(
-            f"eigensolve failed on the walk from g*={lam} toward the real axis"
-        )
-    current = None
-    for w in rows:
-        if current is None:
-            order = np.argsort(np.abs(w - energy))
-            idx = [int(order[0]), int(order[1])]
-        else:
-            d0 = np.abs(w - current[0])
-            d1 = np.abs(w - current[1])
-            i0, i1 = int(np.argmin(d0)), int(np.argmin(d1))
-            if i0 == i1:
-                if d0[i0] <= d1[i1]:
-                    d1[i0] = np.inf
-                    i1 = int(np.argmin(d1))
-                else:
-                    d0[i1] = np.inf
-                    i0 = int(np.argmin(d0))
-            idx = [i0, i1]
-        current = w[idx]
-    return idx
-
-
 def ep_pair_id(ep: ExceptionalPoint) -> tuple[int, int]:
     """Identify which two sector levels an EP connects.
 
     Walks the coupling from g* straight down to the real axis, halving
-    Im g each step for 60 steps and tracking the two nearly-degenerate
-    eigenvalues by continuity; the blocks of one walk are solved in one
-    stacked call.  The pair is (k, k+1), 1-based levels of the EP's own
-    sector at Re g*.  For even N, E -> -E maps a sector onto itself and
-    an EP with Re E* > 0 is folded to -E* first, so the pair sits in the
-    lower half of the spectrum; for odd N the mirror is in the other
-    sector and the walk starts at E*.  If the tracked endpoints are not
-    adjacent levels the walk is retried with a finer step (factor
-    sqrt(1/2), 180 steps) before giving up.  A failed eigensolve on a
-    walk raises EpTrackingError at once.
+    Im g each step for 60 steps, and tracks the two nearly-degenerate
+    eigenvalues by continuity, each matched by distance to its previous
+    value; the blocks of the walk are solved in one stacked call.  The
+    pair is (k, k+1), 1-based levels of the EP's own sector at Re g*.
+    For even N, E -> -E maps a sector onto itself and an EP with
+    Re E* > 0 is folded to -E* first, so the pair sits in the lower half
+    of the spectrum; for odd N the mirror is in the other sector and the
+    walk starts at E*.  A failed eigensolve on the walk, or tracked
+    endpoints that are not adjacent levels, raise EpTrackingError.
     """
     energy = ep.energy_star
     if energy.real > 0 and ep.n_particles % 2 == 0:
         energy = -energy
-    for n_steps, r in [(60, 0.5), (180, math.sqrt(0.5))]:
-        # rows are sorted by real part and the walk ends at Im g = Im g*
-        # * 2**-60 (2**-90 on the retry): a last-row index is a rank at Re g*
-        ks = sorted(_track_pair(ep.n_particles, ep.sector, ep.lambda_star,
-                                energy, n_steps, r))
-        if ks[1] == ks[0] + 1:
-            return ks[0] + 1, ks[1] + 1
-    raise EpTrackingError(
-        f"tracked endpoints map to non-adjacent levels {ks} for EP at "
-        f"g*={ep.lambda_star}; another branch point probably sits on the path"
-    )
+    lam = ep.lambda_star
+    rows = eig_complex_tridiag(
+        ep.n_particles, ep.sector,
+        [lam.real + 1j * lam.imag * 0.5 ** t for t in range(1, 61)])
+    if np.isnan(rows).any():
+        raise EpTrackingError(
+            f"eigensolve failed on the walk from g*={lam} toward the real axis"
+        )
+    order = np.argsort(np.abs(rows[0] - energy))
+    idx = [int(order[0]), int(order[1])]
+    for prev, w in zip(rows, rows[1:]):
+        d0 = np.abs(w - prev[idx[0]])
+        d1 = np.abs(w - prev[idx[1]])
+        i0, i1 = int(np.argmin(d0)), int(np.argmin(d1))
+        if i0 == i1:
+            if d0[i0] <= d1[i1]:
+                d1[i0] = np.inf
+                i1 = int(np.argmin(d1))
+            else:
+                d0[i1] = np.inf
+                i0 = int(np.argmin(d0))
+        idx = [i0, i1]
+    # rows are sorted by real part and the walk ends at Im g = Im g*
+    # * 2**-60: a last-row index is a rank at Re g*
+    ks = sorted(idx)
+    if ks[1] != ks[0] + 1:
+        raise EpTrackingError(
+            f"tracked endpoints map to non-adjacent levels {ks} for EP at "
+            f"g*={lam}; another branch point probably sits on the path"
+        )
+    return ks[0] + 1, ks[1] + 1
 
 
 def near_real_ep_count(n_particles: int, lambda_max: float,
@@ -346,8 +333,6 @@ def near_real_ep_count(n_particles: int, lambda_max: float,
     ny = max(24, int(round(_NEAR_REAL_GRID_PER_UNIT * height)))
     lam_values: list[complex] = []
     for sector in (Parity.EVEN, Parity.ODD):
-        if len(sector_basis(n_particles, sector)) < 2:
-            continue
         eps = ep_scan(n_particles, sector, (1.0, lambda_max, 0.0, height),
                       (nx, ny))
         lam_values.extend(ep.lambda_star for ep in eps)

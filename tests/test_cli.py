@@ -399,14 +399,56 @@ def test_overflowing_coupling_is_named(argv):
         "the N=64 even block" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "gaps", "localization"])
+def test_levels_beyond_the_double_range_are_named(command):
+    # the off-diagonal is finite at this coupling, but the extreme levels
+    # are not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([command, "--n", "8", "--lambda", "1e308"])
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: the levels of the N=8 even block exceed " \
+        "the double range" in err
+
+
+def test_scaled_energy_of_huge_levels_stays_finite():
+    # 2E overflows for the lowest levels here, E / (N/2) does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(["spectrum", "--n", "8", "--lambda", "6e307"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 9
+    for _, _, e, eps, _ in rows:
+        assert math.isfinite(float(eps)) and float(eps) == float(e) / 4
+
+
+def test_eq3_at_couplings_whose_square_overflows():
+    def ratios(lam):
+        code, out, _ = run_cli(["scaling", "--law", "eq3", "--lambda", lam,
+                                "--n-list", "8,16", "--format", "json"])
+        assert code == 0
+        return json.loads(out)["results"]["ratios"]
+
+    reference = ratios("1.3e154")  # g*g is still finite here
+    assert all(r > 0.2 for r in reference)
+    for lam in ("1e200", "1e307"):
+        assert ratios(lam) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("argv", [
     ["eps", "--n", "4", "--re-max", "1e308", "--im-max", "1", "--grid", "2"],
     ["eps", "--n", "9", "--re-max", "1", "--im-max", "1e200", "--grid", "3"],
+    # eigenvalue differences here overflow: no close pair, no warning
+    ["eps", "--n", "9", "--re-max", "1e308", "--im-max", "1", "--grid", "2"],
 ])
 def test_overflowing_eps_seeds_are_dropped(argv):
     # the determinant recurrence overflows on these seeds; the scan drops
     # them as it drops any seed whose refinement fails
-    code, out, err = run_cli(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv)
     assert code == 0
     assert out == ("re_lambda,im_lambda,re_E,im_E,k,k_next,sector,"
                    "residual\n")

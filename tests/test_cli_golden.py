@@ -1,8 +1,9 @@
 """Golden CLI output: the exit code and the sha256 of stdout per argv.
 
 The argvs are the README commands, the dataset scripts' commands, a
-few JSON forms and odd-N `eps` runs, whose pair labels follow a
-convention of their own (see `ep_pair_id`).  `cli_golden.json` holds the
+few JSON forms, an eq3 sweep, the near-axis `eps` scan of N=32 and
+odd-N `eps` runs, whose pair labels follow a convention of their own
+(see `ep_pair_id`).  `cli_golden.json` holds the
 digests; it records the behaviour contract, so a refactor must match it
 rather than rewrite it.
 """

@@ -171,6 +171,13 @@ def test_near_real_count_small_systems():
     assert near_real_ep_count(16, 2.0) == 2
 
 
+def test_near_real_count_one_level_sectors():
+    # the EVEN sector of N=1 and the ODD sector of N=1 and N=2 hold one
+    # level each, so their scans find no branch point
+    assert near_real_ep_count(1, 2.0, 1.5) == 0
+    assert near_real_ep_count(2, 2.0, 1.5) == 0
+
+
 def test_near_real_count_degenerate_window():
     assert near_real_ep_count(8, 1.0001, im_tol=0.05) == 0
     with pytest.raises(ValueError):
@@ -352,20 +359,19 @@ def test_pair_id_solves_one_stack_per_walk(monkeypatch):
     assert ep_pair_id(ep) == (1, 2)
     assert calls == [60]
 
-    # a first walk whose endpoints land on one level forces the retry
-    real_track = lipkin.excpt._track_pair
-    walks = []
+    # a walk whose tracked endpoints are not adjacent levels fails at
+    # once: the two values nearest E* keep ranks 1 and 3 on every row
+    row = ep.energy_star + np.array([-10.0, -0.1, 5.0j, 0.1, 10.0])
+    solves = []
 
-    def first_walk_ambiguous(*args):
-        tracked = real_track(*args)
-        walks.append(args[4])
-        return [0, 2] if len(walks) == 1 else tracked
+    def non_adjacent(n, parity, couplings):
+        solves.append(len(couplings))
+        return np.tile(row, (len(couplings), 1))
 
-    monkeypatch.setattr(lipkin.excpt, "_track_pair", first_walk_ambiguous)
-    calls.clear()
-    assert ep_pair_id(ep) == (1, 2)
-    assert walks == [60, 180]
-    assert calls == [60, 180]
+    monkeypatch.setattr(lipkin.excpt, "eig_complex_tridiag", non_adjacent)
+    with pytest.raises(EpTrackingError, match="non-adjacent levels"):
+        ep_pair_id(ep)
+    assert solves == [60]
 
 
 def test_pair_id_failed_solve_on_walk_is_tracking_error(monkeypatch):
