@@ -38,7 +38,8 @@ from .analysis import (
 )
 from .core import Parity, build_block, sector_basis
 from .eigen import eig_real_tridiag
-from .excpt import EpConvergenceError, _near_real_count, ep_scan
+from .excpt import (EpConvergenceError, EpTrackingError, _near_real_count,
+                    ep_pair_id, ep_scan)
 from .logfit import (
     DEFAULT_WINDOW,
     FitError,
@@ -81,21 +82,35 @@ def _json_payload(config: dict, results, elapsed: float | None) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+def _check_output(path: str) -> None:
+    """Reject an --output path that cannot name a file, before any solve."""
+    if os.path.isdir(path):
+        raise UsageError(f"--output {path!r} is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise UsageError(f"--output {path!r}: no directory {directory!r}")
+
+
 def _emit(text: str, path: str | None) -> None:
-    """Write to stdout or atomically to a file."""
+    """Write to stdout or atomically to a file; a file that cannot be
+    written is a UsageError and leaves nothing behind."""
     if path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lipkin-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lipkin-",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {path!r}: {exc}") from exc
 
 
 def _progress(message: str) -> None:
@@ -214,10 +229,13 @@ def cmd_eps(args) -> tuple[list[str], list[list], dict]:
     for sector in sectors:
         _progress(f"scanning {sector} sector over {region} "
                   f"with a {args.grid}x{args.grid} grid")
-        found = ep_scan(args.n, sector, region, args.grid,
-                        identify_pairs=not args.no_pairs)
-        for ep in found:
-            pair = ep.pair if ep.pair is not None else ("", "")
+        for ep in ep_scan(args.n, sector, region, args.grid):
+            pair = ("", "")  # blank when skipped or when tracking fails
+            if not args.no_pairs:
+                try:
+                    pair = ep_pair_id(ep)
+                except EpTrackingError:
+                    pass
             rows.append([ep.lambda_star.real, ep.lambda_star.imag,
                          ep.energy_star.real, ep.energy_star.imag,
                          pair[0], pair[1], str(ep.sector), ep.residual])
@@ -248,12 +266,14 @@ def cmd_fit(args) -> tuple[list[str], list[list], dict]:
         acid = derivative_comparison(fit, ss)
         xs, ys = window_points(ss, x_c, side, window)
         yfit = fit_eval(fit, xs)
-        fd_at = {float(x): (float(f), float(r)) for x, f, r in
+        # a stride-2 midpoint sits on a level k, but its x can differ
+        # from 2k/N by an ulp: join the acid test to the rows by k
+        fd_at = {round(x * args.n / 2): (float(f), float(r)) for x, f, r in
                  zip(acid["x"], acid["finite_difference"],
                      acid["relative_deviation"])}
-        for x, y, yf in zip(xs, ys, yfit):
-            fd, rel = fd_at.get(float(x), ("", ""))
-            rows.append([side, x, y, yf, fit_derivative(fit, x), fd, rel])
+        for x, y, yf, dy in zip(xs, ys, yfit, fit_derivative(fit, xs)):
+            fd, rel = fd_at.get(round(x * args.n / 2), ("", ""))
+            rows.append([side, x, y, yf, dy, fd, rel])
         coeffs = {f"a{p}": float(a)
                   for p, a in enumerate(fit.coefficients, start=1)}
         fit_info[side] = {
@@ -385,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_positive_int, default=80,
                    help="grid points per axis for seeding")
     p.add_argument("--im-tol", type=_finite_float, default=None,
-                   help="also report the near-real count below this cutoff")
+                   help="also report the near-real count below this "
+                        "cutoff (JSON results only)")
     p.add_argument("--no-pairs", action="store_true",
                    help="skip level-pair identification")
     common(p, sectors=("even", "odd", "both"), default_sector="both")
@@ -429,6 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        if args.output is not None:
+            _check_output(args.output)
         header, rows, extra = args.run(args)
         elapsed = time.monotonic() - start
         if args.format == "csv":
@@ -449,7 +472,11 @@ def main(argv: list[str] | None = None) -> int:
             ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    _emit(text, args.output)
+    try:
+        _emit(text, args.output)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     return 0
 
 

@@ -49,30 +49,22 @@ def sector_basis(n_particles: int, parity: Parity) -> np.ndarray:
     return np.arange(start, j + 0.5, 2.0)
 
 
-def ladder_couplings(n_particles: int, parity: Parity) -> np.ndarray:
-    """Coupling-strength factors of the double-raising operator.
-
-    Entry i couples basis_m[i] to basis_m[i] + 2 and equals
-    sqrt((j-m)(j+m+1)(j-m-1)(j+m+2)) / (2N), i.e. the off-diagonal of
-    the block at unit coupling.  Computed from the product form; no
-    factorials, so large N stays in range.
-    """
-    j = n_particles / 2.0
-    m = sector_basis(n_particles, parity)[:-1]
-    radicand = (j - m) * (j + m + 1.0) * (j - m - 1.0) * (j + m + 2.0)
-    return np.sqrt(radicand) / (2.0 * n_particles)
-
-
 @functools.lru_cache(maxsize=64)
 def _sector_arrays(n_particles: int, parity: Parity) -> tuple[np.ndarray, np.ndarray]:
     """The m-grid and unit-coupling ladder factors of one sector.
 
-    Built once per (N, parity) and shared read-only by block assembly,
-    the complex solver and the determinant recurrence, which only vary
-    g and E.
+    Factor i couples m = diag[i] to m + 2 and equals
+    sqrt((j-m)(j+m+1)(j-m-1)(j+m+2)) / (2N), i.e. the off-diagonal of
+    the block at unit coupling.  Computed from the product form; no
+    factorials, so large N stays in range.  Built once per (N, parity)
+    and shared read-only by block assembly, the complex solver and the
+    determinant recurrence, which only vary g and E.
     """
     diag = sector_basis(n_particles, parity)
-    factors = ladder_couplings(n_particles, parity)
+    j = n_particles / 2.0
+    m = diag[:-1]
+    radicand = (j - m) * (j + m + 1.0) * (j - m - 1.0) * (j + m + 2.0)
+    factors = np.sqrt(radicand) / (2.0 * n_particles)
     diag.flags.writeable = False
     factors.flags.writeable = False
     return diag, factors
@@ -96,10 +88,6 @@ class TridiagonalBlock:
     @property
     def dimension(self) -> int:
         return len(self.diag)
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.offdiag)
 
 
 def build_block(n_particles: int, coupling, parity: Parity) -> TridiagonalBlock:

@@ -36,6 +36,9 @@ from .core import Parity, TridiagonalBlock, _sector_arrays
 
 #: upper bound on the bytes of one dense stack handed to LAPACK at once
 _STACK_BYTES = 1 << 22
+#: largest block entry that LAPACK's bisection (index_range) takes
+#: unscaled; the squares it forms overflow from about 2**512 = 1.34e154
+_BISECTION_MAX = 2.0 ** 510
 
 
 def _lapack_function(name: str, *argtypes) -> ctypes.CFUNCTYPE:
@@ -109,6 +112,7 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
         raise ValueError("vectors and index_range take a single block, "
                          f"got {len(batch)}")
     block, = batch
+    diag, offdiag, scale = block.diag, block.offdiag, 0
     select = {}
     if index_range is not None:
         lo, hi = index_range
@@ -117,16 +121,26 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
                 f"level range ({lo}, {hi}) is outside 0..{block.dimension - 1}"
             )
         select = {"select": "i", "select_range": (lo, hi)}
+        # dstevd rescales a block, bisection does not: bisect a huge
+        # block scaled by an exact power of two, which leaves the
+        # vectors as they are and the levels exact up to that power
+        top = max(np.abs(diag).max(), np.abs(offdiag).max(initial=0.0))
+        if top > _BISECTION_MAX:
+            scale = math.frexp(top)[1]
+            diag, offdiag = np.ldexp(diag, -scale), np.ldexp(offdiag, -scale)
     solved = scipy.linalg.eigh_tridiagonal(
-        block.diag, block.offdiag, eigvals_only=not want_vectors, **select)
+        diag, offdiag, eigvals_only=not want_vectors, **select)
     values, vectors = solved if want_vectors else (solved, None)
+    if scale:
+        with np.errstate(over="ignore"):  # _check_levels names an overflow
+            values = np.ldexp(values, scale)
     return EigenResult(_check_levels(block, values), vectors)
 
 
 def _check_real(block: TridiagonalBlock) -> None:
     """Reject what LAPACK cannot take: complex or non-finite entries, or
     an off-diagonal whose length does not match the diagonal."""
-    if not block.is_real:
+    if np.iscomplexobj(block.offdiag):
         raise ValueError("block has complex coupling; use eig_complex_tridiag")
     if block.diag.ndim != 1 or block.offdiag.shape != (block.dimension - 1,):
         raise ValueError(f"diagonal of shape {block.diag.shape} and "
@@ -233,14 +247,20 @@ class _DetState(NamedTuple):
     exponent: int
 
 
-def _det_derivatives(diag: np.ndarray, factors: np.ndarray, g: complex,
-                     energy: complex) -> _DetState:
-    """Run the differentiated three-term recurrence with shared rescaling.
+def det_state_at(n_particles: int, parity: Parity, coupling: complex,
+                 energy: complex) -> _DetState:
+    """det(H - E) of one sector block and its partials in E and g.
 
+    Runs the differentiated three-term recurrence straight off the
+    sector's cached m-grid and ladder factors, without materializing a
+    block (solver hot path):
     D_i = (d_i - E) D_{i-1} - o_{i-1}^2 D_{i-2}, with o = g * factors;
     the four partial-derivative sequences ride along.  Every step the
-    whole state is renormalized by a power of two keyed to |D_i|.
+    whole state is renormalized by a power of two keyed to |D_i|, so
+    det * 2**exponent is the determinant itself.
     """
+    diag, factors = _sector_arrays(n_particles, parity)
+    g, energy = complex(coupling), complex(energy)
     n = len(diag)
     d0, d1 = 1.0 + 0.0j, complex(diag[0]) - energy
     e0, e1 = 0.0j, -1.0 + 0.0j
@@ -274,16 +294,3 @@ def _det_derivatives(diag: np.ndarray, factors: np.ndarray, g: complex,
                 m0 *= s; m1 *= s
                 ex += k
     return _DetState(d1, e1, f1, g1, m1, ex)
-
-
-def det_state_at(n_particles: int, parity: Parity, coupling: complex,
-                 energy: complex) -> _DetState:
-    """det(H - E) of one sector block and its partials in E and g.
-
-    Runs the recurrence straight off the sector's cached m-grid and
-    ladder factors, without materializing a block (solver hot path).  All
-    values share the power-of-two exponent in the result, so
-    det * 2**exponent is the determinant itself.
-    """
-    diag, factors = _sector_arrays(n_particles, parity)
-    return _det_derivatives(diag, factors, complex(coupling), complex(energy))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +65,8 @@ class ExceptionalPoint:
     """A refined branch point of one sector.
 
     residual is max(|det|, |d_E det|) at the solution, normalized by the
-    same quantities a distance 0.01 away in the coupling; pair holds the
-    1-based sector indices of the coalescing levels once identified.
+    same quantities a distance 0.01 away in the coupling.  ep_pair_id
+    names the two levels it joins.
     """
 
     lambda_star: complex
@@ -74,7 +74,6 @@ class ExceptionalPoint:
     sector: Parity
     n_particles: int
     residual: float
-    pair: tuple[int, int] | None = None
 
 
 def _residual_certificate(n: int, parity: Parity, g: complex,
@@ -187,8 +186,7 @@ def _closest_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def ep_scan(n_particles: int, sector: Parity,
             region: tuple[float, float, float, float],
-            grid: tuple[int, int] | int = 60,
-            identify_pairs: bool = False) -> list[ExceptionalPoint]:
+            grid: tuple[int, int] | int = 60) -> list[ExceptionalPoint]:
     """Find the EPs of one sector inside a rectangle of the upper
     half coupling plane.
 
@@ -199,8 +197,10 @@ def ep_scan(n_particles: int, sector: Parity,
     refinement.  A cell whose solve fails is skipped, and the number of
     skipped cells is reported as a RuntimeWarning.  Cell centers carry
     strictly positive imaginary part, which matters: a Newton iterate
-    seeded exactly on the real axis could never leave it.  Results are
-    deduplicated (1e-6 in g) and sorted by (Re g*, Im g*).
+    seeded exactly on the real axis could never leave it.  A refined g*
+    is kept if it lies inside the rectangle widened on all four sides by
+    2 % of its larger extent.  Results are deduplicated (1e-6 in g),
+    sorted by (Re g*, Im g*) and unlabelled: ep_pair_id labels an EP.
     """
     re0, re1, im0, im1 = map(float, region)
     if im0 < 0:
@@ -236,21 +236,13 @@ def ep_scan(n_particles: int, sector: Parity,
             continue
         lam = ep.lambda_star
         if not (re0 - pad <= lam.real <= re1 + pad
-                and lam.imag <= im1 + pad):
+                and im0 - pad <= lam.imag <= im1 + pad):
             continue
         if any(abs(prev.lambda_star - lam) < _DEDUP_RADIUS
                for prev in found):
             continue
         found.append(ep)
     found.sort(key=lambda e: (e.lambda_star.real, e.lambda_star.imag))
-    if identify_pairs:
-        labelled = []
-        for ep in found:
-            try:
-                labelled.append(replace(ep, pair=ep_pair_id(ep)))
-            except EpTrackingError:
-                labelled.append(ep)
-        found = labelled
     return found
 
 

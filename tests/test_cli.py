@@ -122,6 +122,34 @@ def test_fit_command_json():
     assert doc["results"]["x_c"] == pytest.approx(0.58, abs=0.02)
 
 
+def test_fit_reports_every_acid_test_point_it_computed():
+    # the stride-2 midpoints of the acid test sit on levels, but their x
+    # differs from 2k/N by an ulp at some k; each must reach its row
+    from lipkin import (critical_x, derivative_comparison, fit_spectrum_side,
+                        scaled_spectrum)
+
+    code, out, _ = run_cli(["fit", "--n", "301", "--lambda", "5",
+                            "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)["results"]
+    x_c = doc["x_c"]
+    s = full_spectrum(301, 5.0)
+    assert x_c == critical_x(301, 5.0, spectrum=s)
+    ss = scaled_spectrum(s, "merged")
+    for side in ("left", "right"):
+        rows = [r for r in doc["rows"] if r["side"] == side]
+        acid = derivative_comparison(fit_spectrum_side(ss, x_c, side), ss)
+        filled = [r for r in rows if r["dy_fd"] != ""]
+        assert [r["dy_fd"] for r in filled] \
+            == acid["finite_difference"].tolist()
+        assert [r["rel_dev"] for r in filled] \
+            == acid["relative_deviation"].tolist()
+        in_band = [r for r in rows
+                   if 0.02 + 1e-9 <= abs(r["x"] - x_c) <= 0.1 - 1e-9]
+        assert len(in_band) > 10
+        assert all(r["dy_fd"] != "" and r["rel_dev"] != "" for r in in_band)
+
+
 @pytest.mark.parametrize("n", ["2", "4"])
 def test_fit_without_resolved_crossing_is_numerical_failure(n):
     # every lower-half level lies below the critical line
@@ -162,6 +190,41 @@ def test_output_file_written_atomically(tmp_path):
     assert text.endswith("\n")
     assert text.startswith("k,x,E,eps,sector")
     assert [p.name for p in tmp_path.iterdir()] == ["spec.csv"]
+
+
+@pytest.mark.parametrize("kind", ["missing directory", "directory"])
+def test_unwritable_output_is_usage_error_before_any_solve(kind, tmp_path,
+                                                           monkeypatch):
+    import lipkin.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --output")
+
+    monkeypatch.setattr(lipkin.cli, "full_spectrum", no_solve)
+    target = tmp_path / "missing" / "x.csv" if kind == "missing directory" \
+        else tmp_path
+    code, out, err = run_cli(["spectrum", "--n", "4", "--lambda", "1",
+                              "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --output") and str(target) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_output_write_is_usage_error_and_leaves_nothing(tmp_path,
+                                                               monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "spec.csv"
+    code, out, err = run_cli(["spectrum", "--n", "4", "--lambda", "1",
+                              "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --output") \
+        and str(target) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -314,6 +377,26 @@ def test_eps_near_real_count_dedups_mirror_sectors():
     assert near_real_ep_count(9, 2.0, 1.5) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eps", "--n", "16", "--re-max", "3", "--im-min", "1", "--im-max", "3",
+     "--grid", "30"],
+    ["eps", "--n", "8", "--re-max", "3", "--im-min", "2", "--im-max", "3",
+     "--grid", "20"],
+])
+def test_eps_rows_respect_every_region_edge(argv):
+    # the region, widened by 2 % of its larger extent on every side
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    value = dict(zip(argv[1::2], argv[2::2]))
+    re0, re1 = 0.0, float(value["--re-max"])
+    im0, im1 = float(value["--im-min"]), float(value["--im-max"])
+    pad = 0.02 * max(re1 - re0, im1 - im0)
+    for line in out.splitlines()[1:]:
+        re_g, im_g = map(float, line.split(",")[:2])
+        assert re0 - pad <= re_g <= re1 + pad
+        assert im0 - pad <= im_g <= im1 + pad
+
+
 def test_eps_failed_solve_on_one_walk_blanks_only_that_pair(monkeypatch):
     import lipkin.excpt
 
@@ -373,6 +456,10 @@ def test_benchmark_tracer_binding_names():
         assert inspect.isfunction(fn), f"{module.__name__}.{name}"
         assert fn.__module__ == module.__name__, f"{module.__name__}.{name}"
 
+    # the tracer wraps every binding of a function: pair tracking counts
+    # under cli.cmd_eps, and Newton's recurrence under excpt.ep_refine,
+    # only through these names
+    assert lipkin.cli.ep_pair_id is lipkin.excpt.ep_pair_id
     assert lipkin.excpt.det_state_at is lipkin.eigen.det_state_at
     assert lipkin.excpt.eig_complex_tridiag \
         is lipkin.eigen.eig_complex_tridiag
@@ -435,6 +522,23 @@ def test_eq3_at_couplings_whose_square_overflows():
     assert all(r > 0.2 for r in reference)
     for lam in ("1e200", "1e307"):
         assert ratios(lam) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", ["1e200", "1e300"])
+def test_eq2_at_couplings_past_the_bisection_range(lam):
+    # the squared off-diagonal overflows inside LAPACK's bisection here;
+    # the full solve behind `gaps` is the reference
+    code, out, _ = run_cli(["scaling", "--law", "eq2", "--n-list", "8,16",
+                            "--lambda", lam, "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    assert [row["n"] for row in rows] == [8, 16]
+    for row in rows:
+        code, out, _ = run_cli(["gaps", "--n", str(row["n"]), "--lambda", lam,
+                                "--format", "json"])
+        assert code == 0
+        reference = json.loads(out)["results"]["rows"][0]["gap"]
+        assert row["gap"] == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,7 +15,6 @@ from lipkin import (
     eig_complex_tridiag,
     eig_real_tridiag,
 )
-from lipkin.core import ladder_couplings
 from lipkin.eigen import det_state_at
 
 from oracles import dense_sector_block
@@ -297,7 +296,7 @@ def test_stacked_solver_failed_block_gives_nan_row(n, monkeypatch):
     parity = Parity.EVEN
     bad = 1.2 - 0.4j
     good = eig_complex_tridiag(n, parity, STACK_COUPLINGS)
-    marker = bad * ladder_couplings(n, parity)[0]
+    marker = bad * lipkin.core._sector_arrays(n, parity)[1][0]
     real_eigvals = np.linalg.eigvals
 
     def failing(a):
@@ -316,15 +315,12 @@ def test_stacked_solver_failed_block_gives_nan_row(n, monkeypatch):
 def test_sector_arrays_built_once_and_read_only(monkeypatch):
     calls = []
     real_basis = lipkin.core.sector_basis
-    real_factors = lipkin.core.ladder_couplings
     monkeypatch.setattr(lipkin.core, "sector_basis",
                         lambda *a: calls.append("basis") or real_basis(*a))
-    monkeypatch.setattr(lipkin.core, "ladder_couplings",
-                        lambda *a: calls.append("factors") or real_factors(*a))
     lipkin.core._sector_arrays.cache_clear()
     det_state_at(14, Parity.ODD, 0.5 + 1.0j, 0.3)  # builds the arrays
     built = list(calls)
-    assert built.count("factors") == 1
+    assert built == ["basis"]
     for g in (0.5 + 1.0j, 1.5 + 0.2j, 0.7):
         det_state_at(14, Parity.ODD, g, 0.3)
         eig_complex_tridiag(14, Parity.ODD, [g])

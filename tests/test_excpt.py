@@ -20,7 +20,7 @@ from lipkin import (
     ep_scan,
     near_real_ep_count,
 )
-from lipkin.core import ladder_couplings, sector_basis
+from lipkin.core import _sector_arrays, sector_basis
 from lipkin.eigen import det_state_at
 
 from test_eigen import dense_lex_eigvals
@@ -265,7 +265,8 @@ def reference_scan(n, parity, region, grid):
         except EpConvergenceError:
             continue
         lam = ep.lambda_star
-        if not (re0 - pad <= lam.real <= re1 + pad and lam.imag <= im1 + pad):
+        if not (re0 - pad <= lam.real <= re1 + pad
+                and im0 - pad <= lam.imag <= im1 + pad):
             continue
         if all(abs(prev.lambda_star - lam) >= 1e-6 for prev in found):
             found.append(ep)
@@ -302,9 +303,9 @@ def count_solves(monkeypatch):
                                       (16, Parity.EVEN), (16, Parity.ODD)])
 def test_scan_matches_per_cell_reference(n, parity):
     region = (0.0, 3.0, 0.0, 3.0)
-    found = ep_scan(n, parity, region, 24, identify_pairs=True)
+    found = ep_scan(n, parity, region, 24)
     assert found
-    assert [(ep.lambda_star, ep.energy_star, ep.residual, ep.pair)
+    assert [(ep.lambda_star, ep.energy_star, ep.residual, ep_pair_id(ep))
             for ep in found] == reference_scan(n, parity, region, 24)
 
 
@@ -315,9 +316,9 @@ def test_scan_solves_one_stack_per_grid_row(monkeypatch):
                          (scipy.linalg, "eigh_tridiagonal")]:
         monkeypatch.setattr(module, name,
                             lambda *a, **k: real_solves.append(a))
-    found = ep_scan(8, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), (30, 20),
-                    identify_pairs=True)
-    assert found and all(ep.pair is not None for ep in found)
+    found = ep_scan(8, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), (30, 20))
+    assert found
+    assert all(ep_pair_id(ep) for ep in found)
     # one stack per grid row, then one per pair-tracking walk; the pair
     # labels need no real solve
     assert calls == [30] * 20 + [60] * len(found)
@@ -336,7 +337,7 @@ def test_scan_skips_exactly_a_failed_cell(monkeypatch):
     lam0 = baseline[0][0]
     step = (region[1] - region[0]) / grid
     cell = (int(lam0.imag / step), int(lam0.real / step))
-    marker = lam0 * ladder_couplings(n, parity)[0]
+    marker = lam0 * _sector_arrays(n, parity)[1][0]
     real_eigvals = np.linalg.eigvals
 
     def failing(a):
@@ -393,15 +394,15 @@ def test_odd_n_mirror_rows_carry_mirrored_labels(n):
     # for odd N the two sectors mirror each other: an EP at (g*, E*) in
     # one is an EP at (g*, -E*) in the other, and level k of a sector
     # with dim levels is level dim + 1 - k of the other
-    found = {parity: ep_scan(n, parity, (0.0, 3.0, 0.0, 3.0), 60,
-                             identify_pairs=True) for parity in Parity}
+    found = {parity: ep_scan(n, parity, (0.0, 3.0, 0.0, 3.0), 60)
+             for parity in Parity}
     dim = len(sector_basis(n, Parity.EVEN))
     assert len(found[Parity.EVEN]) == len(found[Parity.ODD]) > 0
     for ep in found[Parity.EVEN]:
         twin, = [other for other in found[Parity.ODD]
                  if abs(other.lambda_star - ep.lambda_star) < 1e-6]
         assert abs(twin.energy_star + ep.energy_star) < 1e-6
-        k, k_next = ep.pair
-        assert twin.pair == (dim - k, dim + 1 - k)
+        k, k_next = ep_pair_id(ep)
+        assert ep_pair_id(twin) == (dim - k, dim + 1 - k)
     for ep in found[Parity.EVEN] + found[Parity.ODD]:
-        assert ep.pair == reference_pair(ep)
+        assert ep_pair_id(ep) == reference_pair(ep)
