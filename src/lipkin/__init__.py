@@ -23,7 +23,6 @@ from .analysis import (
     gap_ratio_eq3,
     gaps,
     ipr,
-    loglog_slope,
     min_gap,
     scaled_spectrum,
     scaling_exponent_eq2,
@@ -46,7 +45,6 @@ from .logfit import (
     fit_derivative,
     fit_eval,
     fit_second_derivative,
-    fit_singularity,
     fit_spectrum_side,
     window_points,
 )

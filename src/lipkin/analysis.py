@@ -173,15 +173,6 @@ def critical_x(n_particles: int, coupling: float,
     return float(x0 + (-1.0 - e0) * (x1 - x0) / (e1 - e0))
 
 
-def loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:
-    """Least-squares slope of log(value) against log(n)."""
-    ns = np.asarray(ns, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(ns) < 2:
-        raise ValueError("need at least two points for a regression")
-    return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
-
-
 def _sector_gap(n: int, coupling: float, k: int) -> float:
     """E_{k+1} - E_k of the EVEN sector, from those two levels alone."""
     block = build_block(n, coupling, Parity.EVEN)
@@ -199,16 +190,19 @@ def scaling_exponent_eq2(k: int, n_list: Sequence[int],
 
     At the critical coupling the gap scales like (k/N)^(1/3), so the
     log-log slope against N comes out near -1/3.  Each N solves for
-    levels k and k+1 of the EVEN sector only.
+    levels k and k+1 of the EVEN sector only.  Fewer than two distinct N
+    raise ValueError before any solve.
     """
     if k < 1:
         raise ValueError(f"gap index k must be >= 1, got {k}")
     n_list = sorted(int(n) for n in n_list)
+    if len(set(n_list)) < 2:
+        raise ValueError("a slope needs at least two distinct N")
     if any(n < 2 * k + 2 for n in n_list):
         raise ValueError(f"all N must be >= 2k+2 = {2 * k + 2}")
     samples = [(n, _sector_gap(n, coupling, k)) for n in n_list]
-    slope = loglog_slope([n for n, _ in samples], [g for _, g in samples])
-    return ScalingReport(samples, slope)
+    slope = np.polyfit(np.log(n_list), np.log([g for _, g in samples]), 1)[0]
+    return ScalingReport(samples, float(slope))
 
 
 def gap_ratio_eq3(coupling: float, n_list: Sequence[int]) -> ScalingReport:

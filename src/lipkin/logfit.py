@@ -43,12 +43,6 @@ class SingularityFit:
     rms_residual: float
 
 
-def _check_side(side: str) -> str:
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return side
-
-
 def window_points(ss: ScaledSpectrum, x_c: float, side: str,
                   window: tuple[float, float] = DEFAULT_WINDOW) -> tuple[np.ndarray, np.ndarray]:
     """Select (x, y = eps+1) on one side of x_c within the fit window.
@@ -57,7 +51,8 @@ def window_points(ss: ScaledSpectrum, x_c: float, side: str,
     discrete spectrum cannot resolve the singularity below its own
     spacing.
     """
-    _check_side(side)
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     lo, hi = window
     exclusion = 2.0 / ss.n_particles
     t = ss.x - x_c
@@ -73,28 +68,24 @@ def _basis(t: np.ndarray, n_terms: int) -> np.ndarray:
                     axis=1)
 
 
-def fit_singularity(x: np.ndarray, y: np.ndarray, x_c: float, side: str,
-                    n_terms: int = 3) -> SingularityFit:
+def fit_spectrum_side(ss: ScaledSpectrum, x_c: float, side: str,
+                      n_terms: int = 3,
+                      window: tuple[float, float] = DEFAULT_WINDOW) -> SingularityFit:
     """Least-squares fit of the log-power model on one side of x_c.
 
-    x, y must already be windowed (see window_points); y is the shifted
-    curve eps + 1.  The solve orthogonalizes the design matrix (SVD via
-    lstsq) rather than forming normal equations -- the log-power basis
-    is badly scaled.
+    The scaled spectrum is windowed by window_points and the shifted
+    curve eps + 1 fitted.  The solve orthogonalizes the design matrix
+    (SVD via lstsq) rather than forming normal equations -- the
+    log-power basis is badly scaled.
     """
-    _check_side(side)
     if not 1 <= n_terms <= 3:
         raise ValueError(f"n_terms must be 1..3, got {n_terms}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = x - x_c
-    if side == "left" and (t >= 0).any() or side == "right" and (t <= 0).any():
-        raise ValueError(f"all points must lie strictly on the {side} of x_c")
+    x, y = window_points(ss, x_c, side, window)
     if len(x) < n_terms:
         raise FitError(
             f"{len(x)} points cannot determine {n_terms} coefficients"
         )
-    design = _basis(t, n_terms)
+    design = _basis(x - x_c, n_terms)
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < n_terms:
         raise FitError(
@@ -104,14 +95,6 @@ def fit_singularity(x: np.ndarray, y: np.ndarray, x_c: float, side: str,
     rms = float(np.sqrt(np.mean(resid * resid)))
     return SingularityFit(float(x_c), side, np.asarray(coef, dtype=float),
                           rms)
-
-
-def fit_spectrum_side(ss: ScaledSpectrum, x_c: float, side: str,
-                      n_terms: int = 3,
-                      window: tuple[float, float] = DEFAULT_WINDOW) -> SingularityFit:
-    """Window a scaled spectrum and fit it in one call."""
-    x, y = window_points(ss, x_c, side, window)
-    return fit_singularity(x, y, x_c, side, n_terms)
 
 
 def _eval_terms(fit: SingularityFit, x: np.ndarray):
@@ -125,37 +108,34 @@ def _eval_terms(fit: SingularityFit, x: np.ndarray):
     return t, np.log(np.abs(t))
 
 
-def fit_eval(fit: SingularityFit, x) -> np.ndarray | float:
+def fit_eval(fit: SingularityFit, x) -> np.ndarray:
     """Evaluate the fitted model."""
-    scalar = np.isscalar(x)
-    t, log_t = _eval_terms(fit, np.atleast_1d(x))
+    t, log_t = _eval_terms(fit, x)
     y = np.zeros_like(t)
     for p, a in enumerate(fit.coefficients, start=1):
         y += a * log_t ** p
     y *= t * t
-    return float(y[0]) if scalar else y
+    return y
 
 
-def fit_derivative(fit: SingularityFit, x) -> np.ndarray | float:
+def fit_derivative(fit: SingularityFit, x) -> np.ndarray:
     """dy/dx of the fitted model: 2(x-x_c) sum a_p L^p + (x-x_c) sum p a_p L^(p-1)."""
-    scalar = np.isscalar(x)
-    t, log_t = _eval_terms(fit, np.atleast_1d(x))
+    t, log_t = _eval_terms(fit, x)
     d = np.zeros_like(t)
     for p, a in enumerate(fit.coefficients, start=1):
         d += a * (2.0 * t * log_t ** p + p * t * log_t ** (p - 1))
-    return float(d[0]) if scalar else d
+    return d
 
 
-def fit_second_derivative(fit: SingularityFit, x) -> np.ndarray | float:
+def fit_second_derivative(fit: SingularityFit, x) -> np.ndarray:
     """d2y/dx2; carries a 2 a_1 ln|x-x_c| term, hence diverges at x_c."""
-    scalar = np.isscalar(x)
-    t, log_t = _eval_terms(fit, np.atleast_1d(x))
+    t, log_t = _eval_terms(fit, x)
     d = np.zeros_like(t)
     for p, a in enumerate(fit.coefficients, start=1):
         d += a * (2.0 * log_t ** p + 3.0 * p * log_t ** (p - 1))
         if p >= 2:
             d += a * p * (p - 1) * log_t ** (p - 2)
-    return float(d[0]) if scalar else d
+    return d
 
 
 def derivative_comparison(fit: SingularityFit, ss: ScaledSpectrum) -> dict:
@@ -174,12 +154,10 @@ def derivative_comparison(fit: SingularityFit, ss: ScaledSpectrum) -> dict:
         raise ValueError("no finite-difference points in the test band")
     x_sel = xm[sel]
     fd = slope[sel]
-    model = fit_derivative(fit, x_sel)
-    rel = np.abs(model - fd) / np.abs(fd)
+    rel = np.abs(fit_derivative(fit, x_sel) - fd) / np.abs(fd)
     return {
         "x": x_sel,
         "finite_difference": fd,
-        "model": model,
         "relative_deviation": rel,
         "max_relative_deviation": float(rel.max()),
         "rms_relative_deviation": float(np.sqrt(np.mean(rel * rel))),

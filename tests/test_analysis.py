@@ -16,7 +16,6 @@ from lipkin import (
     gap_ratio_eq3,
     gaps,
     ipr,
-    loglog_slope,
     min_gap,
     scaled_spectrum,
     scaling_exponent_eq2,
@@ -131,14 +130,6 @@ def test_ground_state_bound_consistency():
         assert eps_1 >= -0.5 * (lam + 1.0 / lam) - 0.01
 
 
-def test_loglog_slope_recovers_synthetic_power_law():
-    ns = [256, 512, 1024, 2048]
-    vals = [3.7 * n ** (-1.0 / 3.0) for n in ns]
-    assert loglog_slope(ns, vals) == pytest.approx(-1.0 / 3.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        loglog_slope([64], [1.0])
-
-
 def test_scaling_exponent_flat_at_zero_coupling():
     report = scaling_exponent_eq2(1, [16, 32, 64], coupling=0.0)
     assert report.summary == pytest.approx(0.0, abs=1e-12)
@@ -156,6 +147,18 @@ def test_scaling_exponent_precondition():
         scaling_exponent_eq2(3, [4, 8])
     with pytest.raises(ValueError):
         scaling_exponent_eq2(0, [16, 32])  # g[k - 1] would read g[-1]
+
+
+def test_scaling_exponent_needs_two_distinct_n_before_any_solve(monkeypatch):
+    import lipkin.analysis as analysis
+
+    def no_solve(*args):
+        raise AssertionError("solved a gap before checking the N list")
+
+    monkeypatch.setattr(analysis, "_sector_gap", no_solve)
+    for n_list in ([64], [64, 64], [64, 64, 64]):
+        with pytest.raises(ValueError, match="two distinct N"):
+            scaling_exponent_eq2(1, n_list)
 
 
 WINDOW_NS = [16, 17, 64, 255, 1024, 4096]

@@ -4,6 +4,7 @@ import math
 import os
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +396,23 @@ def test_eps_rows_respect_every_region_edge(argv):
         re_g, im_g = map(float, line.split(",")[:2])
         assert re0 - pad <= re_g <= re1 + pad
         assert im0 - pad <= im_g <= im1 + pad
+
+
+def test_eps_n32_keeps_every_row_of_the_strict_stop_rule():
+    # eps_n32_strict_stop.csv is this command's output when Newton
+    # accepted only its 1e-13 stop rule; accepting stalled runs that pass
+    # the certificate adds 10 rows, all paired, and keeps every one of
+    # those rows, byte for byte and in order
+    code, out, _ = run_cli(["eps", "--n", "32", "--re-max", "3",
+                            "--im-max", "3", "--format", "csv"])
+    assert code == 0
+    strict = (Path(__file__).parent
+              / "eps_n32_strict_stop.csv").read_text().splitlines()
+    rows = out.splitlines()
+    remaining = iter(rows)
+    assert all(row in remaining for row in strict)
+    assert len(rows) == len(strict) + 10
+    assert all(row.split(",")[4] for row in rows[1:])
 
 
 def test_eps_failed_solve_on_one_walk_blanks_only_that_pair(monkeypatch):

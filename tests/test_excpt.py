@@ -287,6 +287,39 @@ def record_seeds(monkeypatch):
     return seeds
 
 
+#: the four off-axis branch points (g*, E*) of the N = 32 EVEN sector
+#: on the arc Re g* < 0.33, from 40-digit Newton on the same determinant
+#: recurrence; double-precision Newton stalls there with steps near
+#: 1e-12, above its 1e-13 stop rule
+N32_EVEN_ARC = [
+    (0.098391977987260422662 + 1.1092577737599686523j,
+     1.4748758010354602033 + 0.96746346994386364566j),
+    (0.13763864377838224121 + 1.3154974459703986267j,
+     -1.6668600052902884671 - 1.3294556478134487231j),
+    (0.20147792312815059474 + 1.6047889632410211586j,
+     1.9035963632529564255 + 1.7046615981431755145j),
+    (0.319904459967658442 + 2.0490395574220338136j,
+     2.2448168108413094929 + 2.1733999747588412562j),
+]
+
+
+@pytest.mark.parametrize("g_star,e_star", N32_EVEN_ARC,
+                         ids=[f"{g.imag:.4f}" for g, _ in N32_EVEN_ARC])
+def test_refine_accepts_a_stalled_run_that_passes_the_certificate(
+        g_star, e_star):
+    ep = ep_refine(32, Parity.EVEN, g_star + 1e-5, e_star)
+    assert abs(ep.lambda_star - g_star) <= 1e-10
+    assert abs(ep.energy_star - e_star) <= 1e-10
+    assert ep.residual <= 1e-8
+
+
+def test_refine_stall_fallback_still_applies_the_certificate(monkeypatch):
+    g_star, e_star = N32_EVEN_ARC[0]
+    monkeypatch.setattr(lipkin.excpt, "_RESIDUAL_LIMIT", 1e-12)
+    with pytest.raises(EpConvergenceError, match="residual certificate"):
+        ep_refine(32, Parity.EVEN, g_star + 1e-5, e_star)
+
+
 def count_solves(monkeypatch):
     calls = []
     real_solver = lipkin.excpt.eig_complex_tridiag

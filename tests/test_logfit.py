@@ -6,6 +6,7 @@ import pytest
 from lipkin import (
     FitError,
     Parity,
+    ScaledSpectrum,
     build_block,
     critical_x,
     derivative_comparison,
@@ -13,13 +14,15 @@ from lipkin import (
     fit_derivative,
     fit_eval,
     fit_second_derivative,
-    fit_singularity,
     fit_spectrum_side,
     full_spectrum,
     scaled_spectrum,
     window_points,
 )
 from lipkin.logfit import SingularityFit
+
+#: a fit window that keeps every point on the side
+WHOLE_SIDE = (0.0, np.inf)
 
 
 def model_values(x, x_c, coeffs):
@@ -28,19 +31,29 @@ def model_values(x, x_c, coeffs):
     return t * t * sum(a * log_t ** p for p, a in enumerate(coeffs, start=1))
 
 
+def synthetic_spectrum(x, y):
+    """A scaled spectrum whose shifted curve eps + 1 is y; its N is so
+    large that the 2/N exclusion ring around x_c drops no point."""
+    return ScaledSpectrum(np.asarray(x, dtype=float),
+                          np.asarray(y, dtype=float) - 1.0, 10 ** 9,
+                          "merged")
+
+
 def test_recovers_noiseless_synthetic_coefficients():
     x_c = 0.37
     coeffs = [2.0, -0.5, 0.0]
     x = x_c + np.linspace(0.005, 0.2, 300)
     y = model_values(x, x_c, coeffs)
-    fit = fit_singularity(x, y, x_c, "right")
+    fit = fit_spectrum_side(synthetic_spectrum(x, y), x_c, "right",
+                            window=WHOLE_SIDE)
     assert np.allclose(fit.coefficients, coeffs, atol=1e-10)
     assert fit.rms_residual <= 1e-12
 
 
 def test_zero_data_gives_zero_fit():
     x = 0.5 + np.linspace(0.01, 0.1, 50)
-    fit = fit_singularity(x, np.zeros_like(x), 0.5, "right")
+    fit = fit_spectrum_side(synthetic_spectrum(x, np.zeros_like(x)), 0.5,
+                            "right", window=WHOLE_SIDE)
     assert np.allclose(fit.coefficients, 0.0, atol=1e-14)
     assert fit.rms_residual == 0.0
 
@@ -58,14 +71,17 @@ def test_eval_and_derivative_hand_values():
 
 def test_input_validation():
     x = 0.5 + np.linspace(0.01, 0.1, 20)
-    y = np.zeros_like(x)
-    with pytest.raises(ValueError):
-        fit_singularity(x, y, 0.5, "left")  # wrong side
-    with pytest.raises(ValueError):
-        fit_singularity(x, y, 0.5, "middle")
+    ss = synthetic_spectrum(x, np.zeros_like(x))
     with pytest.raises(FitError):
-        fit_singularity(x[:2], y[:2], 0.5, "right", n_terms=3)
-    fit = fit_singularity(x, y, 0.5, "right")
+        fit_spectrum_side(ss, 0.5, "left", window=WHOLE_SIDE)  # no points
+    with pytest.raises(ValueError):
+        fit_spectrum_side(ss, 0.5, "middle", window=WHOLE_SIDE)
+    with pytest.raises(ValueError):
+        fit_spectrum_side(ss, 0.5, "right", n_terms=4, window=WHOLE_SIDE)
+    with pytest.raises(FitError):
+        fit_spectrum_side(synthetic_spectrum(x[:2], np.zeros(2)), 0.5,
+                          "right", window=WHOLE_SIDE)
+    fit = fit_spectrum_side(ss, 0.5, "right", window=WHOLE_SIDE)
     with pytest.raises(ValueError):
         fit_eval(fit, 0.5)  # singular point
     with pytest.raises(ValueError):
@@ -143,10 +159,9 @@ def test_coupling_variable_variant():
     # sector level 33 sits at merged position ~ 2k, x ~ 0.25, whose
     # crossing coupling is ~2 by the crossing-count consistency
     assert lam_c == pytest.approx(2.0, abs=0.05)
-    y = eps_k + 1.0
+    # the default window keeps 0.02 <= |g - g_c| <= 0.15; 2/N = 0.004
+    # excludes nothing more
+    ss = ScaledSpectrum(lams, eps_k, n, "even")
     for side in ("left", "right"):
-        t = lams - lam_c
-        keep = ((t < 0) if side == "left" else (t > 0)) \
-            & (np.abs(t) >= 0.02) & (np.abs(t) <= 0.15)
-        fit = fit_singularity(lams[keep], y[keep], lam_c, side)
+        fit = fit_spectrum_side(ss, lam_c, side)
         assert fit.rms_residual <= 1e-3
