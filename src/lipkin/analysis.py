@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Parity, build_block
+from .core import Parity, UsageError, build_block
 from .eigen import EigenResult, eig_real_tridiag
 
 
@@ -104,7 +104,7 @@ def gaps(s: Spectrum, sector: Parity) -> np.ndarray:
     """Consecutive same-sector level distances, E_{k+1} - E_k."""
     values = s.levels(sector.value)
     if len(values) < 2:
-        raise ValueError(
+        raise UsageError(
             f"sector {sector} has {len(values)} level(s); no gaps to take"
         )
     return np.diff(values)
@@ -114,7 +114,7 @@ def _lower_half_min_gap(values: np.ndarray) -> tuple[int, float]:
     """Index and size of the smallest gap among one sector's lower-half
     levels (values ascending); ties go to the smallest index."""
     if len(values) < 2:
-        raise ValueError(
+        raise UsageError(
             f"sector has {len(values)} level(s); no gaps to take"
         )
     half = (len(values) + 1) // 2
@@ -190,16 +190,16 @@ def scaling_exponent_eq2(k: int, n_list: Sequence[int],
 
     At the critical coupling the gap scales like (k/N)^(1/3), so the
     log-log slope against N comes out near -1/3.  Each N solves for
-    levels k and k+1 of the EVEN sector only.  Fewer than two distinct N
-    raise ValueError before any solve.
+    levels k and k+1 of the EVEN sector only.  k < 1, fewer than two
+    distinct N, or an N below 2k+2 raise UsageError before any solve.
     """
     if k < 1:
-        raise ValueError(f"gap index k must be >= 1, got {k}")
+        raise UsageError(f"gap index k must be >= 1, got {k}")
     n_list = sorted(int(n) for n in n_list)
     if len(set(n_list)) < 2:
-        raise ValueError("a slope needs at least two distinct N")
+        raise UsageError("a slope needs at least two distinct N")
     if any(n < 2 * k + 2 for n in n_list):
-        raise ValueError(f"all N must be >= 2k+2 = {2 * k + 2}")
+        raise UsageError(f"all N must be >= 2k+2 = {2 * k + 2}")
     samples = [(n, _sector_gap(n, coupling, k)) for n in n_list]
     slope = np.polyfit(np.log(n_list), np.log([g for _, g in samples]), 1)[0]
     return ScalingReport(samples, float(slope))
@@ -212,17 +212,20 @@ def gap_ratio_eq3(coupling: float, n_list: Sequence[int]) -> ScalingReport:
     for eq2; the EVEN blocks of all N are solved in one batch.  Where
     g^2 overflows, sqrt(g^2 - 1) is taken as sqrt(g - 1) sqrt(g + 1).
     Convergence of r toward 1 is logarithmically slow; callers should
-    treat the sequence as a trend, not a limit.
+    treat the sequence as a trend, not a limit.  A coupling <= 1 or an
+    N below 2 raise UsageError before any block is built.
     """
     lam = float(coupling)
     if lam <= 1.0:
-        raise ValueError("the minimum-gap law needs coupling > 1")
+        raise UsageError("the minimum-gap law needs coupling > 1")
+    n_list = sorted(int(n) for n in n_list)
+    if any(n < 2 for n in n_list):
+        raise UsageError(f"all N must be >= 2, got {n_list[0]}")
     if math.isfinite(lam * lam):
         root = math.sqrt(lam * lam - 1.0)
     else:
         root = math.sqrt(lam - 1.0) * math.sqrt(lam + 1.0)
     denom = 2.0 * math.pi * root
-    n_list = sorted(int(n) for n in n_list)
     blocks = [build_block(n, lam, Parity.EVEN) for n in n_list]
     values = eig_real_tridiag(blocks).values
     ends = np.cumsum([b.dimension for b in blocks])[:-1]
@@ -258,7 +261,7 @@ def spectral_derivative(ss: ScaledSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """
     stride = 2 if ss.selector == "merged" else 1
     if len(ss.x) < stride + 1:
-        raise ValueError(
+        raise UsageError(
             f"need at least {stride + 1} points for stride-{stride} "
             "differences"
         )

@@ -17,6 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+class UsageError(ValueError):
+    """An argument outside a call's rules (CLI exit 2): a sweep's k, N or
+    coupling or a scan region, before any solve; too few levels, after."""
+
+
 class Parity(enum.Enum):
     """Invariant-sector label.
 

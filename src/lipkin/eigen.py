@@ -202,7 +202,10 @@ def eig_complex_tridiag(n_particles: int, parity: Parity,
     """
     diag, factors = _sector_arrays(n_particles, parity)
     g = np.asarray(couplings, dtype=complex).reshape(-1)
-    offdiag = g[:, None] * factors.astype(complex)
+    # a coupling past the double range leaves inf or NaN entries, whose
+    # block fails to solve and gets the NaN row described above
+    with np.errstate(over="ignore", invalid="ignore"):
+        offdiag = g[:, None] * factors.astype(complex)
     dim = len(diag)
     i = np.arange(dim)
     values = np.empty((len(g), dim), dtype=complex)

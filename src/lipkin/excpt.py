@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Parity
+from .core import Parity, UsageError
 from .eigen import det_state_at, eig_complex_tridiag
 
 _DEDUP_RADIUS = 1e-6
@@ -83,11 +83,22 @@ class ExceptionalPoint:
     residual: float
 
 
+def _det_state(n: int, parity: Parity, g: complex, energy: complex):
+    """det_state_at, with an overflow of its rescaling (a subnormal or
+    huge |det|) raised as EpConvergenceError, so the seed is dropped."""
+    try:
+        return det_state_at(n, parity, g, energy)
+    except OverflowError as exc:
+        raise EpConvergenceError(
+            f"the determinant recurrence overflows at g={g}, E={energy}"
+        ) from exc
+
+
 def _residual_certificate(n: int, parity: Parity, g: complex,
                           energy: complex) -> float:
     """Drop of |det| and |d_E det| relative to a point 0.01 away in g."""
-    here = det_state_at(n, parity, g, energy)
-    there = det_state_at(n, parity, g + 0.01, energy)
+    here = _det_state(n, parity, g, energy)
+    there = _det_state(n, parity, g + 0.01, energy)
 
     def log2mag(z: complex, ex: int) -> float:
         return math.log2(abs(z)) + ex if z != 0 else -math.inf
@@ -132,12 +143,7 @@ def ep_refine(n_particles: int, sector: Parity, lambda_seed: complex,
     converged = False
     small_steps = 0  # consecutive steps within the stall tolerance
     for _ in range(_NEWTON_MAX_ITER):
-        try:
-            st = det_state_at(n_particles, sector, g, energy)
-        except OverflowError as exc:
-            raise EpConvergenceError(
-                f"the determinant recurrence overflows at g={g}, E={energy}"
-            ) from exc
+        st = _det_state(n_particles, sector, g, energy)
         jac = np.array([[st.d_e, st.d_g], [st.d_ee, st.d_eg]])
         rhs = np.array([st.det, st.d_e])
         try:
@@ -209,21 +215,24 @@ def ep_scan(n_particles: int, sector: Parity,
     """Find the EPs of one sector inside a rectangle of the upper
     half coupling plane.
 
-    region is (re_min, re_max, im_min, im_max) with im_min >= 0.  The
-    rectangle is tiled into grid cells; at each cell center the complex
-    spectrum is computed, one stacked solve per grid row, and cells where
-    the two closest eigenvalues dip to a local minimum seed the Newton
-    refinement.  A cell whose solve fails is skipped, and the number of
-    skipped cells is reported as a RuntimeWarning.  Cell centers carry
-    strictly positive imaginary part, which matters: a Newton iterate
-    seeded exactly on the real axis could never leave it.  A refined g*
-    is kept if it lies inside the rectangle widened on all four sides by
-    2 % of its larger extent.  Results are deduplicated (1e-6 in g),
-    sorted by (Re g*, Im g*) and unlabelled: ep_pair_id labels an EP.
+    region is (re_min, re_max, im_min, im_max); a region without
+    re_min < re_max and 0 <= im_min < im_max raises UsageError before
+    any solve.  The rectangle is tiled into grid cells; at each cell
+    center the complex spectrum is computed, one stacked solve per grid
+    row, and cells where the two closest eigenvalues dip to a local
+    minimum seed the Newton refinement.  A cell whose solve fails is
+    skipped, and the number of skipped cells is reported as a
+    RuntimeWarning.  Cell centers carry strictly positive imaginary
+    part, which matters: a Newton iterate seeded exactly on the real
+    axis could never leave it.  A refined g* is kept if it lies inside
+    the rectangle widened on all four sides by 2 % of its larger extent.
+    Results are deduplicated (1e-6 in g), sorted by (Re g*, Im g*) and
+    unlabelled: ep_pair_id labels an EP.
     """
     re0, re1, im0, im1 = map(float, region)
-    if im0 < 0:
-        raise ValueError("region must lie in the closed upper half-plane")
+    if not (re0 < re1 and 0.0 <= im0 < im1):
+        raise UsageError(f"the scan region {region} needs re_min < re_max "
+                         "and 0 <= im_min < im_max")
     if isinstance(grid, int):
         nx = ny = grid
     else:
@@ -335,9 +344,10 @@ def near_real_ep_count(n_particles: int, lambda_max: float,
     each branch coupling counts once.  im_tol defaults to the calibrated
     per-N value from NEAR_REAL_IM_TOL; there is no N-independent notion
     of "near" at finite N, so the cutoff is an explicit caller choice.
+    lambda_max <= 1 or im_tol <= 0 raise UsageError before any solve.
     """
     if lambda_max <= 1.0:
-        raise ValueError("lambda_max must exceed 1")
+        raise UsageError("lambda_max must exceed 1")
     tol = default_im_tol(n_particles) if im_tol is None else float(im_tol)
     height = tol * 1.05
     nx = max(40, int(round(_NEAR_REAL_GRID_PER_UNIT * (lambda_max - 1.0))))

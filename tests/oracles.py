@@ -7,6 +7,7 @@ multiplet, then squared and projected.  Deliberately dense and slow.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def full_m_grid(n):
@@ -47,3 +48,33 @@ def dense_sector_block(n, coupling, even):
     h = dense_hamiltonian(n, coupling)
     idx = sector_indices(n, even)
     return h[np.ix_(idx, idx)]
+
+
+def branch_couplings(n, even):
+    """Every coupling g at which two levels of one sector block coalesce.
+
+    With H(g) = H0 + g H1, K(g) = H(g)(x)I - I(x)H(g) restricted to the
+    antisymmetric square has eigenvalues E_i - E_j (i < j), so
+    det(K(g)^2) there is the discriminant of det(H(g) - E) in E.  Its
+    roots solve the quadratic eigenproblem K0^2 + g(K0 K1 + K1 K0) +
+    g^2 K1^2, linearized to a companion pencil (the double-eigenvalue
+    problem of Jarlebring, Kvaal & Michiels, SIAM J. Matrix Anal. Appl.
+    32, 2011).  Returns the finite roots, all four quadrants.
+    """
+    h0 = dense_sector_block(n, 0.0, even)
+    h1 = dense_sector_block(n, 1.0, even) - h0
+    d = len(h0)
+    eye = np.eye(d)
+    k0 = np.kron(h0, eye) - np.kron(eye, h0)
+    k1 = np.kron(h1, eye) - np.kron(eye, h1)
+    # orthonormal basis (e_i (x) e_j - e_j (x) e_i) / sqrt(2), i < j
+    i, j = np.triu_indices(d, 1)
+    cols = np.arange(len(i))
+    q = np.zeros((d * d, len(i)))
+    q[i * d + j, cols] = 0.5 ** 0.5
+    q[j * d + i, cols] = -(0.5 ** 0.5)
+    a0, a1, a2 = (q.T @ k @ q for k in (k0 @ k0, k0 @ k1 + k1 @ k0, k1 @ k1))
+    zero, one = np.zeros_like(a0), np.eye(len(a0))
+    roots = scipy.linalg.eig(np.block([[zero, one], [-a0, -a1]]),
+                             np.block([[one, zero], [zero, a2]]), right=False)
+    return roots[np.isfinite(roots)]

@@ -21,6 +21,7 @@ from lipkin import (
     scaling_exponent_eq2,
     spectral_derivative,
 )
+from lipkin.core import UsageError
 
 
 def test_full_spectrum_examples():
@@ -79,8 +80,10 @@ def test_gaps_examples():
 
 
 def test_gaps_undersized_sector():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         gaps(full_spectrum(2, 1.0), Parity.ODD)  # single level
+    with pytest.raises(UsageError):  # one lower-half point, stride 1
+        spectral_derivative(scaled_spectrum(full_spectrum(2, 1.0), "odd"))
 
 
 def test_min_gap_tie_breaks_to_first():
@@ -143,9 +146,9 @@ def test_scaling_exponent_near_one_third():
 
 
 def test_scaling_exponent_precondition():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         scaling_exponent_eq2(3, [4, 8])
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         scaling_exponent_eq2(0, [16, 32])  # g[k - 1] would read g[-1]
 
 
@@ -157,7 +160,7 @@ def test_scaling_exponent_needs_two_distinct_n_before_any_solve(monkeypatch):
 
     monkeypatch.setattr(analysis, "_sector_gap", no_solve)
     for n_list in ([64], [64, 64], [64, 64, 64]):
-        with pytest.raises(ValueError, match="two distinct N"):
+        with pytest.raises(UsageError, match="two distinct N"):
             scaling_exponent_eq2(1, n_list)
 
 
@@ -225,8 +228,19 @@ def test_gap_ratio_loose_bracket():
     report = gap_ratio_eq3(5.0, [1000])
     (n, r), = report.samples
     assert n == 1000 and 0.5 <= r <= 1.5
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         gap_ratio_eq3(1.0, [100])
+
+
+def test_gap_ratio_rejects_n_below_two_before_any_block(monkeypatch):
+    import lipkin.analysis as analysis
+
+    def no_block(*args):
+        raise AssertionError("built a block before checking the N list")
+
+    monkeypatch.setattr(analysis, "build_block", no_block)
+    with pytest.raises(UsageError, match=">= 2"):
+        gap_ratio_eq3(2.0, [1, 16384])
 
 
 def test_ipr_basics():

@@ -290,6 +290,8 @@ def exit_code(argv):
     ["--law", "eq2", "--n-list", "0,64"],
     ["--law", "eq3", "--lambda", "2", "--n-list", "1"],
     ["--law", "eq3", "--lambda", "2", "--n-list", ","],
+    ["--law", "eq3", "--lambda", "1", "--n-list", "64,128"],
+    ["--law", "eq3", "--n-list", "64,128"],
 ])
 def test_bad_scaling_input_is_usage_error_before_any_solve(argv, monkeypatch):
     import lipkin.analysis
@@ -319,6 +321,10 @@ def test_bad_scaling_input_is_usage_error_before_any_solve(argv, monkeypatch):
     ["spectrum", "--n", "1", "--lambda", "1", "--derivative"],
     ["spectrum", "--n", "2", "--lambda", "1", "--sector", "odd",
      "--derivative"],
+    ["eps", "--n", "8", "--re-max", "3", "--im-max", "3", "--grid", "20",
+     "--im-tol", "-1", "--format", "json"],
+    ["eps", "--n", "8", "--re-max", "3", "--im-max", "3", "--grid", "20",
+     "--im-tol", "0", "--format", "json"],
 ])
 def test_bad_input_is_usage_error(argv):
     assert exit_code(argv) == 2
@@ -564,6 +570,10 @@ def test_eq2_at_couplings_past_the_bisection_range(lam):
     ["eps", "--n", "9", "--re-max", "1", "--im-max", "1e200", "--grid", "3"],
     # eigenvalue differences here overflow: no close pair, no warning
     ["eps", "--n", "9", "--re-max", "1e308", "--im-max", "1", "--grid", "2"],
+    # Newton lands on an axis EP with a subnormal Re g, where the
+    # certificate's recurrence overflows
+    ["eps", "--n", "9", "--re-max", "1e-300", "--im-min", "1e-08",
+     "--im-max", "0.5", "--grid", "4"],
 ])
 def test_overflowing_eps_seeds_are_dropped(argv):
     # the determinant recurrence overflows on these seeds; the scan drops
@@ -575,6 +585,22 @@ def test_overflowing_eps_seeds_are_dropped(argv):
     assert out == ("re_lambda,im_lambda,re_E,im_E,k,k_next,sector,"
                    "residual\n")
     assert "Traceback" not in err
+
+
+def test_overflowing_scan_cells_warn_only_that_they_are_skipped():
+    # Im g up to 1e308 overflows g times the ladder factors: those blocks
+    # are skipped cells, with no numpy warning of their own
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(["eps", "--n", "17", "--re-min", "1e-08",
+                                "--re-max", "1", "--im-min", "0.5",
+                                "--im-max", "1e308", "--grid", "3",
+                                "--no-pairs"])
+    assert code == 0
+    messages = [str(w.message) for w in caught]
+    assert messages
+    assert all(m.endswith("cells skipped: eigensolve failed")
+               for m in messages), messages
 
 
 @pytest.mark.parametrize("argv,re_min", [

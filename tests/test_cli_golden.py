@@ -1,11 +1,12 @@
 """Golden CLI output: the exit code and the sha256 of stdout per argv.
 
-The argvs are the README commands, the dataset scripts' commands, a
-few JSON forms, an eq3 sweep, the near-axis `eps` scan of N=32,
-odd-N `eps` runs, whose pair labels follow a convention of their own
-(see `ep_pair_id`), an unlabelled `eps` scan, a `fit` whose acid-test
-join needs the level index, an `eps` scan with a lower Im edge and an
-eq2 sweep past the bisection's range.  `cli_golden.json` holds the
+The argvs are the README commands, every command of the dataset
+scripts at their default sizes, a few JSON forms, an eq3 sweep, the
+near-axis `eps` scan of N=32, odd-N `eps` runs, whose pair labels
+follow a convention of their own (see `ep_pair_id`), an unlabelled
+`eps` scan, a `fit` whose acid-test join needs the level index, an
+`eps` scan with a lower Im edge and an eq2 sweep past the bisection's
+range.  `cli_golden.json` holds the
 digests; it records the behaviour contract, so a refactor must match it
 rather than rewrite it.
 """

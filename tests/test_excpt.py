@@ -20,9 +20,10 @@ from lipkin import (
     ep_scan,
     near_real_ep_count,
 )
-from lipkin.core import _sector_arrays, sector_basis
+from lipkin.core import UsageError, _sector_arrays, sector_basis
 from lipkin.eigen import det_state_at
 
+from oracles import branch_couplings
 from test_eigen import dense_lex_eigvals
 
 
@@ -68,6 +69,15 @@ def test_refine_overflowing_seed_is_convergence_error():
         ep_refine(4, Parity.EVEN, 1e200 + 0.5j, 0.1)
 
 
+def test_refine_overflowing_certificate_is_convergence_error():
+    # Newton lands on the odd-N axis EP g* = 1.1516...i with a subnormal
+    # Re g; |det| is subnormal there, so the certificate's recurrence
+    # overflows in its power-of-two rescaling
+    with pytest.raises(EpConvergenceError, match="overflows"):
+        ep_refine(9, Parity.EVEN, 1.25e-301 + 0.43750000125j,
+                  0.47392616950151667)
+
+
 def test_scan_isolated_analytic_point():
     found = ep_scan(2, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), 40)
     assert len(found) == 1
@@ -108,8 +118,80 @@ def test_n4_even_triple_point_brute_force():
 
 
 def test_scan_normal_phase_real_segment_is_empty():
-    found = ep_scan(8, Parity.EVEN, (0.0, 0.95, 0.0, 0.0), 30)
-    assert found == []
+    # a segment has no height: the scan rejects it as a region
+    with pytest.raises(UsageError, match="scan region"):
+        ep_scan(8, Parity.EVEN, (0.0, 0.95, 0.0, 0.0), 30)
+    for parity in Parity:
+        assert ep_scan(8, parity, (0.0, 0.95, 0.0, 0.05), 30) == []
+
+
+@pytest.mark.parametrize("region", [
+    (3.0, 1.0, 0.0, 3.0),  # Re edges inverted
+    (1.0, 3.0, 3.0, 0.0),  # Im edges inverted
+    (1.0, 3.0, 1.0, 1.0),  # zero height
+    (1.0, 1.0, 0.0, 3.0),  # zero width
+    (1.0, 3.0, -1.0, 1.0),  # below the real axis
+    (1.0, 3.0, 0.0, math.nan),
+])
+def test_scan_rejects_an_empty_region_before_any_solve(region, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved a block for a rejected region")
+
+    monkeypatch.setattr(lipkin.excpt, "eig_complex_tridiag", no_solve)
+    with pytest.raises(UsageError, match="scan region"):
+        ep_scan(8, Parity.EVEN, region, 30)
+
+
+#: distinct g* on Re g = 0 in [0, 3]^2 that the grid scan misses: the
+#: E* = 0 families of even N (EP3s in EVEN, iN/(N - 1 - 4k) in ODD)
+AXIS_FAMILIES = {Parity.EVEN: {8: 1, 16: 3, 32: 5},
+                 Parity.ODD: {8: 2, 16: 3, 32: 6}}
+
+
+def distance(points, z):
+    return np.min(np.abs(points - z), initial=np.inf)
+
+
+def cluster_centres(points, radius):
+    """Means of the groups of points within radius of a group's first."""
+    groups = []
+    for z in sorted(points, key=lambda z: (z.imag, z.real)):
+        near = [group for group in groups if abs(group[0] - z) < radius]
+        if near:
+            near[0].append(z)
+        else:
+            groups.append([z])
+    return np.array([np.mean(group) for group in groups])
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32])
+@pytest.mark.parametrize("parity", list(Parity), ids=str)
+def test_scan_finds_every_oracle_branch_point(n, parity):
+    roots = branch_couplings(n, parity is Parity.EVEN)
+    found = np.array([ep.lambda_star for ep in
+                      ep_scan(n, parity, (0.0, 3.0, 0.0, 3.0), 90)])
+    for g in found:
+        assert distance(roots, g) < 1e-6
+    # fold the mirrors g -> -g and g -> conj(g) into the first quadrant;
+    # the smeared roots of an EP3 land on both sides of the axis
+    folded = np.abs(roots.real) + 1j * np.abs(roots.imag)
+    box = folded[(folded.real <= 3.0) & (folded.imag > 0.0)
+                 & (folded.imag <= 3.0)]
+    found = np.abs(found.real) + 1j * found.imag
+    for g in box[box.real >= 1e-3]:
+        assert distance(found, g) < 1e-6
+    axis = cluster_centres(box[box.real < 1e-3], 1e-3)
+    if n % 2:
+        for g in axis:
+            assert distance(found, g) < 1e-6
+        return
+    assert len(axis) == AXIS_FAMILIES[parity][n]
+    for g in axis:
+        assert distance(found, g) > 1e-3
+    if parity is Parity.ODD:
+        closed = [n / (n - 1 - 4 * k) for k in range(n // 4)
+                  if n / (n - 1 - 4 * k) <= 3.0]
+        assert axis.imag == pytest.approx(closed, abs=1e-6)
 
 
 def test_scan_fourfold_symmetry():
@@ -180,8 +262,14 @@ def test_near_real_count_one_level_sectors():
 
 def test_near_real_count_degenerate_window():
     assert near_real_ep_count(8, 1.0001, im_tol=0.05) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         near_real_ep_count(8, 1.0)
+
+
+@pytest.mark.parametrize("im_tol", [-1.0, 0.0])
+def test_near_real_count_rejects_a_cutoff_at_or_below_zero(im_tol):
+    with pytest.raises(UsageError, match="scan region"):
+        near_real_ep_count(8, 2.0, im_tol)
 
 
 def test_default_im_tol_table():
