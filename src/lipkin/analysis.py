@@ -143,7 +143,8 @@ def critical_x(n_particles: int, coupling: float,
 
     Linear interpolation between the bracketing levels.  At coupling 1
     the spectrum only touches the line, so 0.0 is returned as the
-    documented boundary value; below 1 there is no crossing at all.
+    documented boundary value; below 1 there is no crossing at all, and
+    N = 1 has no lower-half level to cross it.
     """
     lam = float(coupling)
     if lam < 1.0:
@@ -155,6 +156,11 @@ def critical_x(n_particles: int, coupling: float,
     s = spectrum if spectrum is not None else full_spectrum(n_particles, lam)
     ss = scaled_spectrum(s, "merged")
     eps = ss.eps
+    if not len(eps):
+        raise NoCrossingError(
+            f"N={n_particles} has no lower-half level to cross the critical "
+            "line"
+        )
     if eps[0] >= -1.0:
         raise NoCrossingError(
             f"scaled ground state {eps[0]:.6f} is above the critical line at "

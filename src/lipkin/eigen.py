@@ -3,19 +3,20 @@
 Three routes, each matched to where it is used:
 
 * real coupling: LAPACK's symmetric-tridiagonal divide-and-conquer
-  routine dstevd, O(dim) storage, handles dim ~ 10^4.  Values-only
-  solves call it through scipy's Cython LAPACK table by ctypes, which
-  releases the interpreter lock for the call, so the blocks of one
-  request (the two parity sectors, a sweep over N or over g) are solved
-  concurrently, on threads the call starts and joins (up to one per CPU);
-* complex coupling: dense Hessenberg QR (LAPACK zgeev), with the
-  blocks of one sector at many couplings solved as one stack (they
-  differ only in g); branch-point searches never exceed dim ~ 100, so
-  dense is fine;
+  routine dstevd, O(dim) storage, handles dim ~ 10^4;
+* complex coupling: dense Hessenberg QR (LAPACK zgeev), one block per
+  call, at many couplings of one sector at once (the blocks differ only
+  in g); branch-point searches never exceed dim ~ 100, so dense is fine;
 * characteristic determinant: a three-term recurrence with power-of-two
   rescaling, differentiated simultaneously with respect to the energy
   and the coupling.  This is what the branch-point Newton solver runs
   on -- raw determinants overflow near dim ~ 10^3.
+
+Both LAPACK routes call their routine through scipy's Cython LAPACK
+table by ctypes, which releases the interpreter lock for the call, so
+the blocks of one request (the two parity sectors, a sweep over N, the
+couplings of a scan) are solved concurrently, on threads the call
+starts and joins (up to one per usable CPU).
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from scipy.linalg import cython_lapack
 from .core import Parity, TridiagonalBlock, _sector_arrays
 
 
-#: upper bound on the bytes of one dense stack handed to LAPACK at once
-_STACK_BYTES = 1 << 22
+#: upper bound on the bytes of one slice of dense complex blocks that a
+#: solver worker builds at once
+_STACK_BYTES = 1 << 17
 #: largest block entry that LAPACK's bisection (index_range) takes
 #: unscaled; the squares it forms overflow from about 2**512 = 1.34e154
 _BISECTION_MAX = 2.0 ** 510
@@ -63,6 +65,37 @@ _PTR = ctypes.c_void_p
 # dstevd(jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info)
 _DSTEVD = _lapack_function("dstevd", ctypes.c_char_p, _INT, _PTR, _PTR,
                            _PTR, _INT, _PTR, _INT, _PTR, _INT, _INT)
+# zgeev(jobvl, jobvr, n, a, lda, w, vl, ldvl, vr, ldvr, work, lwork,
+#       rwork, info)
+_ZGEEV = _lapack_function("zgeev", ctypes.c_char_p, ctypes.c_char_p, _INT,
+                          _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT, _PTR,
+                          _INT, _PTR, _INT)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fan_out(work, jobs: list) -> list:
+    """[work(job) for job in jobs], on up to one thread per usable CPU.
+
+    Jobs start in the order given.  The threads are started and joined
+    within the call, so none outlives it; one job, or one usable CPU,
+    runs on the calling thread.  The first failing job's error, in job
+    order, is raised.  work runs on worker threads, so it must touch no
+    public function of the package: the benchmark's tracer keeps one
+    span stack for all threads.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1:
+        return [work(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers,
+                            thread_name_prefix="lipkin-eigen") as pool:
+        futures = [pool.submit(work, job) for job in jobs]
+    return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -81,7 +114,8 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
     blocks is one block or a sequence of them.  For a sequence, values
     holds every block's levels concatenated in the order given.  Without
     vectors or index_range the blocks are solved concurrently, largest
-    first, on worker threads that are joined before the call returns.
+    first, on worker threads that are joined before the call returns
+    (_fan_out).
     index_range=(lo, hi) asks for levels lo..hi of a single block only
     (0-based, inclusive), found by Sturm-count bisection at O(dim) per
     level; use it when a few levels are needed, never for the whole
@@ -97,17 +131,12 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
     if not want_vectors and index_range is None:
         if not batch:
             return EigenResult(np.empty(0), None)
-        cpus = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-        futures = [None] * len(batch)
-        with ThreadPoolExecutor(max_workers=min(len(batch), cpus),
-                                thread_name_prefix="lipkin-eigen") as pool:
-            for i in sorted(range(len(batch)),
-                            key=lambda i: batch[i].dimension, reverse=True):
-                futures[i] = pool.submit(_values, batch[i])
-        # read in input order, so the first failing block's error surfaces
-        values = [_check_levels(b, f.result()) for b, f in zip(batch, futures)]
-        return EigenResult(np.concatenate(values), None)
+        order = sorted(range(len(batch)), key=lambda i: batch[i].dimension,
+                       reverse=True)
+        solved = dict(zip(order, _fan_out(_values, [batch[i] for i in order])))
+        # checked in input order, so the first overflowing block is named
+        return EigenResult(np.concatenate(
+            [_check_levels(b, solved[i]) for i, b in enumerate(batch)]), None)
     if len(batch) != 1:
         raise ValueError("vectors and index_range take a single block, "
                          f"got {len(batch)}")
@@ -193,47 +222,69 @@ def eig_complex_tridiag(n_particles: int, parity: Parity,
     """All eigenvalues of one sector block at each coupling, as a
     (len(couplings), dim) array.
 
-    The blocks differ only in g, so they are assembled as one dense stack
-    and solved by one batched LAPACK call (in slices of at most
-    _STACK_BYTES).  Each row is sorted lexicographically (real part, then
-    imaginary part) so output is deterministic; the order carries no
-    physical meaning.  A block whose QR iteration does not converge gives
-    a row of NaN, and the other rows are unaffected.
+    The couplings are cut into slices of at most one usable CPU's share
+    and at most _STACK_BYTES of dense blocks, which worker threads solve
+    concurrently (_fan_out), one LAPACK zgeev call per block.  zgeev gets
+    the arguments np.linalg.eigvals passes, so the values match numpy's
+    to the bit (the tests check this).  Each row is sorted
+    lexicographically (real part, then imaginary part) so output is
+    deterministic; the order carries no physical meaning.  A block with a non-finite entry (a coupling past
+    the double range), or whose QR iteration does not converge, gives a
+    row of NaN, and the other rows are unaffected.
     """
     diag, factors = _sector_arrays(n_particles, parity)
     g = np.asarray(couplings, dtype=complex).reshape(-1)
-    # a coupling past the double range leaves inf or NaN entries, whose
-    # block fails to solve and gets the NaN row described above
+    dim = len(diag)
+    values = np.full((len(g), dim), np.nan, dtype=complex)
+    size = max(1, min(_STACK_BYTES // (16 * dim * dim),
+                      -(-len(g) // _usable_cpus())))
+    _fan_out(lambda lo: _solve_slice(diag, factors, g[lo:lo + size],
+                                     values[lo:lo + size]),
+             list(range(0, len(g), size)))
+    return values
+
+
+def _solve_slice(diag: np.ndarray, factors: np.ndarray, g: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Write the lex-sorted eigenvalues of the sector block at each
+    coupling g into the NaN rows of out: LAPACK zgeev with
+    jobvl = jobvr = 'N' and the optimal workspace, as np.linalg.eigvals
+    calls it, without the interpreter lock.  A block with a non-finite
+    entry never reaches LAPACK, and a block whose solve fails (info != 0)
+    keeps its NaN row.  Runs on worker threads, so it touches no public
+    function of the package.
+    """
+    dim = len(diag)
     with np.errstate(over="ignore", invalid="ignore"):
         offdiag = g[:, None] * factors.astype(complex)
-    dim = len(diag)
+    finite = np.flatnonzero(np.isfinite(offdiag).all(axis=1))
+    if not len(finite):
+        return
+    # the blocks are complex symmetric, so their rows are their columns
     i = np.arange(dim)
-    values = np.empty((len(g), dim), dtype=complex)
-    step = max(1, _STACK_BYTES // (16 * dim * dim))
-    for lo in range(0, len(g), step):
-        off = offdiag[lo:lo + step]
-        stack = np.zeros((len(off), dim, dim), dtype=complex)
-        stack[:, i, i] = diag
-        stack[:, i[:-1], i[1:]] = off
-        stack[:, i[1:], i[:-1]] = off
-        values[lo:lo + step] = _eigvals(stack)
-    order = np.lexsort((values.imag, values.real), axis=-1)
-    return np.take_along_axis(values, order, axis=-1)
-
-
-def _eigvals(stack: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvals of a stack; if it fails, re-solve block by block
-    and leave a NaN row for each block that still fails."""
-    try:
-        return np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError:
-        rows = np.full(stack.shape[:2], np.nan, dtype=complex)
-        for k, a in enumerate(stack):
-            try:
-                rows[k] = np.linalg.eigvals(a)
-            except np.linalg.LinAlgError:
-                pass
-        return rows
+    stack = np.zeros((len(finite), dim, dim), dtype=complex)
+    stack[:, i, i] = diag
+    stack[:, i[:-1], i[1:]] = offdiag[finite]
+    stack[:, i[1:], i[:-1]] = offdiag[finite]
+    w = np.empty((len(finite), dim), dtype=complex)
+    solved = np.zeros(len(finite), dtype=bool)
+    n, one = ctypes.c_int(dim), ctypes.c_int(1)
+    lwork, info = ctypes.c_int(-1), ctypes.c_int(0)  # -1: workspace query
+    n_, one_, lwork_, info_ = map(ctypes.byref, (n, one, lwork, info))
+    # vl and vr are not referenced; the workspace query answers in spare
+    rwork, spare = np.empty(2 * dim), np.empty(1, dtype=complex)
+    a, v, r, u = (x.ctypes.data for x in (stack, w, rwork, spare))
+    _ZGEEV(b"N", b"N", n_, a, n_, v, u, one_, u, one_, u, lwork_, r, info_)
+    lwork.value = max(1, int(spare[0].real))
+    work = np.empty(lwork.value, dtype=complex)
+    z = work.ctypes.data
+    for k in range(len(finite)):
+        _ZGEEV(b"N", b"N", n_, a + 16 * dim * dim * k, n_, v + 16 * dim * k,
+               u, one_, u, one_, z, lwork_, r, info_)
+        solved[k] = info.value == 0
+    w = w[solved]
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    out[finite[solved]] = np.take_along_axis(w, order, axis=-1)
 
 
 class _DetState(NamedTuple):

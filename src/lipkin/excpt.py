@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Parity, UsageError
+from .core import Parity, UsageError, _sector_arrays
 from .eigen import det_state_at, eig_complex_tridiag
 
 _DEDUP_RADIUS = 1e-6
@@ -43,6 +43,9 @@ _NEWTON_MAX_ITER = 80
 #: last _STALL_STEPS steps were all <= _STALL_TOL * max(1, |x|)
 _STALL_STEPS = 10
 _STALL_TOL = 1e-9
+#: upper bound on the bytes of the eigenvalues one scan call returns:
+#: ep_scan hands the solver as many whole grid rows as fit
+_SCAN_BYTES = 1 << 18
 #: seeding-grid cells per unit of coupling in near_real_ep_count
 _NEAR_REAL_GRID_PER_UNIT = 90
 
@@ -218,13 +221,14 @@ def ep_scan(n_particles: int, sector: Parity,
     region is (re_min, re_max, im_min, im_max); a region without
     re_min < re_max and 0 <= im_min < im_max raises UsageError before
     any solve.  The rectangle is tiled into grid cells; at each cell
-    center the complex spectrum is computed, one stacked solve per grid
-    row, and cells where the two closest eigenvalues dip to a local
-    minimum seed the Newton refinement.  A cell whose solve fails is
-    skipped, and the number of skipped cells is reported as a
-    RuntimeWarning.  Cell centers carry strictly positive imaginary
-    part, which matters: a Newton iterate seeded exactly on the real
-    axis could never leave it.  A refined g* is kept if it lies inside
+    center the complex spectrum is computed, and cells where the two
+    closest eigenvalues dip to a local minimum seed the Newton
+    refinement.  The solver takes blocks of whole grid rows in row order,
+    as many per call as keep the eigenvalues it returns within
+    _SCAN_BYTES.  A cell whose solve fails is skipped, and the number of
+    skipped cells is reported as a RuntimeWarning.  Cell centers carry
+    strictly positive imaginary part, which matters: a Newton iterate
+    seeded exactly on the real axis could never leave it.  A refined g* is kept if it lies inside
     the rectangle widened on all four sides by 2 % of its larger extent.
     Results are deduplicated (1e-6 in g), sorted by (Re g*, Im g*) and
     unlabelled: ep_pair_id labels an EP.
@@ -241,10 +245,15 @@ def ep_scan(n_particles: int, sector: Parity,
     gap = np.empty((ny, nx))
     mid = np.empty((ny, nx), dtype=complex)
     failed = 0
-    for iy, b in enumerate(ys):
-        rows = eig_complex_tridiag(n_particles, sector, xs + 1j * b)
+    dim = len(_sector_arrays(n_particles, sector)[0])
+    step = max(1, _SCAN_BYTES // (16 * dim * nx))
+    for lo in range(0, ny, step):
+        rows = eig_complex_tridiag(n_particles, sector,
+                                   (xs + 1j * ys[lo:lo + step, None]).ravel())
         failed += int(np.isnan(rows).any(axis=1).sum())
-        gap[iy], mid[iy] = _closest_pairs(rows)
+        # row by row: a block's distance matrices take dim times its bytes
+        for iy, row in enumerate(rows.reshape(-1, nx, dim), lo):
+            gap[iy], mid[iy] = _closest_pairs(row)
     if failed:
         warnings.warn(f"{failed} of {nx * ny} cells skipped: eigensolve "
                       "failed", RuntimeWarning, stacklevel=2)
@@ -291,7 +300,7 @@ def ep_pair_id(ep: ExceptionalPoint) -> tuple[int, int]:
     Walks the coupling from g* straight down to the real axis, halving
     Im g each step for 60 steps, and tracks the two nearly-degenerate
     eigenvalues by continuity, each matched by distance to its previous
-    value; the blocks of the walk are solved in one stacked call.  The
+    value; the blocks of the walk are solved in one call.  The
     pair is (k, k+1), 1-based levels of the EP's own sector at Re g*.
     For even N, E -> -E maps a sector onto itself and an EP with
     Re E* > 0 is folded to -E* first, so the pair sits in the lower half

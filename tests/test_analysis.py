@@ -117,6 +117,8 @@ def test_critical_x_values():
     for n in (2, 4):  # every lower-half level lies below the line
         with pytest.raises(NoCrossingError):
             critical_x(n, 5.0)
+    with pytest.raises(NoCrossingError, match="no lower-half level"):
+        critical_x(1, 5.0)
     # frozen from an N-refinement run: x_c changes < 1e-3 beyond N=2000
     assert critical_x(2000, 10.0) == pytest.approx(0.7467871764655691,
                                                    abs=1e-3)

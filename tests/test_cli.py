@@ -151,9 +151,10 @@ def test_fit_reports_every_acid_test_point_it_computed():
         assert all(r["dy_fd"] != "" and r["rel_dev"] != "" for r in in_band)
 
 
-@pytest.mark.parametrize("n", ["2", "4"])
+@pytest.mark.parametrize("n", ["1", "2", "4"])
 def test_fit_without_resolved_crossing_is_numerical_failure(n):
-    # every lower-half level lies below the critical line
+    # N = 1 has no lower-half level; for N = 2 and 4 every lower-half
+    # level lies below the critical line
     code, out, err = run_cli(["fit", "--n", n, "--lambda", "5"])
     assert code == 3
     assert out == ""
@@ -617,7 +618,7 @@ def test_scan_cells_of_a_region_spanning_the_double_range(argv, re_min,
     real_solver = lipkin.excpt.eig_complex_tridiag
 
     def recording(n, parity, couplings):
-        if len(couplings) == 3:  # a grid row, not a pair-tracking walk
+        if len(couplings) != 60:  # grid rows, not a pair-tracking walk
             centres.extend(couplings)
         return real_solver(n, parity, couplings)
 
@@ -626,7 +627,10 @@ def test_scan_cells_of_a_region_spanning_the_double_range(argv, re_min,
         warnings.simplefilter("error")  # no overflow, no skipped cell
         code, out, _ = run_cli(argv)
     assert code == 0
-    assert len(centres) == 2 * 9  # both sectors, every cell
+    # both sectors, every cell exactly once, in row order
+    xs = lipkin.excpt._cell_centres(re_min, 1e308, 3)
+    ys = lipkin.excpt._cell_centres(0.0, 1.0, 3)
+    assert centres == 2 * [x + 1j * y for y in ys for x in xs]
     for g in centres:
         assert math.isfinite(g.real) and re_min < g.real < 1e308
         assert 0.0 < g.imag < 1.0
@@ -641,9 +645,9 @@ def test_scan_cells_of_a_region_spanning_the_double_range(argv, re_min,
         assert abs(complex(float(re_g), float(im_g)) - 4j / 3) < 1e-12
 
 
-def test_public_functions_run_on_the_main_thread(monkeypatch):
-    # bench/tracing.py keeps one span stack for all threads, so the
-    # solver's worker threads must run private code only
+def record_public_calls(monkeypatch):
+    """(name, thread) of every call of a public function of the package,
+    wrapped at every name it is bound under, as bench/tracing.py does."""
     import functools
     import importlib
     import inspect
@@ -673,7 +677,17 @@ def test_public_functions_run_on_the_main_thread(monkeypatch):
             entry = wrappers.get(id(obj))
             if entry is not None and entry[0] is obj:
                 monkeypatch.setattr(module, name, entry[1])
+    return calls
 
+
+def test_public_functions_run_on_the_main_thread(monkeypatch):
+    # bench/tracing.py keeps one span stack for all threads, so the
+    # solver's worker threads must run private code only
+    import threading
+
+    import lipkin
+
+    calls = record_public_calls(monkeypatch)
     for argv in [["spectrum", "--n", "64", "--lambda", "2"],
                  ["fit", "--n", "256", "--lambda", "5"],
                  ["scaling", "--law", "eq3", "--lambda", "2",
@@ -689,3 +703,31 @@ def test_public_functions_run_on_the_main_thread(monkeypatch):
             "eig_complex_tridiag", "ep_pair_id"} <= names
     assert {thread.name for _, thread in calls} \
         == {threading.main_thread().name}
+
+
+def test_scan_solves_on_workers_that_call_no_public_function(monkeypatch):
+    # two usable CPUs, so the complex solves run on worker threads even
+    # on a one-CPU host; every public call still comes from the main thread
+    import threading
+
+    import lipkin.eigen
+
+    monkeypatch.setattr(lipkin.eigen, "_usable_cpus", lambda: 2)
+    calls = record_public_calls(monkeypatch)
+    workers = []
+    real_slice = lipkin.eigen._solve_slice
+
+    def recording(*args):
+        workers.append(threading.current_thread())
+        return real_slice(*args)
+
+    monkeypatch.setattr(lipkin.eigen, "_solve_slice", recording)
+    code, out, _ = run_cli(["eps", "--n", "32", "--re-max", "3",
+                            "--im-max", "3", "--grid", "30"])
+    assert code == 0
+    assert len(out.splitlines()) > 10
+    assert {"ep_scan", "ep_refine", "det_state_at",
+            "eig_complex_tridiag", "ep_pair_id"} <= {n for n, _ in calls}
+    assert {thread for _, thread in calls} == {threading.main_thread()}
+    assert workers
+    assert threading.main_thread() not in workers

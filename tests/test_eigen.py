@@ -1,5 +1,8 @@
+import ctypes
 import math
 import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -291,25 +294,89 @@ def test_stacked_solver_slices_large_stacks(monkeypatch):
                           whole)
 
 
+def fail_block(monkeypatch, marker):
+    """Make the per-block LAPACK call fail (info = 1, as a QR iteration
+    that does not converge) on each block whose (1, 0) entry is marker;
+    every other call goes through."""
+    real_zgeev = lipkin.eigen._ZGEEV
+
+    def failing(*args):
+        dim, a, lwork, info = (args[2]._obj, args[3], args[11]._obj,
+                               args[13]._obj)
+        if lwork.value != -1 and dim.value > 1:  # a solve, not the query
+            re, im = (ctypes.c_double * 4).from_address(a)[2:]
+            if complex(re, im) == marker:
+                info.value = 1
+                return
+        real_zgeev(*args)
+
+    monkeypatch.setattr(lipkin.eigen, "_ZGEEV", failing)
+
+
 @pytest.mark.parametrize("n", [2, 9, 32])
 def test_stacked_solver_failed_block_gives_nan_row(n, monkeypatch):
     parity = Parity.EVEN
     bad = 1.2 - 0.4j
     good = eig_complex_tridiag(n, parity, STACK_COUPLINGS)
-    marker = bad * lipkin.core._sector_arrays(n, parity)[1][0]
-    real_eigvals = np.linalg.eigvals
-
-    def failing(a):
-        if np.any(a[..., 0, 1] == marker):
-            raise np.linalg.LinAlgError("forced non-convergence")
-        return real_eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    fail_block(monkeypatch, bad * lipkin.core._sector_arrays(n, parity)[1][0])
     rows = eig_complex_tridiag(n, parity, STACK_COUPLINGS)
     k = STACK_COUPLINGS.index(bad)
     assert np.isnan(rows[k]).all()
     others = np.arange(len(STACK_COUPLINGS)) != k
     assert np.array_equal(rows[others], good[others])
+
+
+def test_overflowing_block_gives_nan_row_without_lapack(monkeypatch):
+    # g = 1.7e308 overflows g times the largest ladder factor (1.19) of
+    # the N=8 even block
+    couplings = [0.5 + 1.0j, 1.7e308, 2.0j, complex(math.nan, 1.0)]
+    good = eig_complex_tridiag(8, Parity.EVEN, couplings)
+    solved = []
+    real_zgeev = lipkin.eigen._ZGEEV
+
+    def spy(*args):
+        if args[11]._obj.value != -1:  # not the workspace query
+            # the 5 x 5 complex entries of the block
+            entries = (ctypes.c_double * 50).from_address(args[3])
+            assert all(map(math.isfinite, entries))
+            solved.append(complex(*entries[2:4]))
+        real_zgeev(*args)
+
+    monkeypatch.setattr(lipkin.eigen, "_ZGEEV", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning
+        rows = eig_complex_tridiag(8, Parity.EVEN, couplings)
+        assert not np.isnan(rows[[0, 2]]).any()
+        assert np.isnan(rows[[1, 3]]).all()
+        assert np.array_equal(rows, good, equal_nan=True)
+        factor = lipkin.core._sector_arrays(8, Parity.EVEN)[1][0]
+        assert sorted(solved, key=abs) == [0.5 * factor + 1j * factor,
+                                           2j * factor]
+        solved.clear()
+        assert np.isnan(eig_complex_tridiag(8, Parity.EVEN, [1.7e308])).all()
+    assert solved == []
+
+
+def test_stacked_solver_rows_do_not_depend_on_the_thread_split(monkeypatch):
+    # the couplings of the N = 32 branch-point map, grid 90 on [0, 3]^2
+    centres = (np.arange(90) + 0.5) * 3.0 / 90
+    couplings = (centres + 1j * centres[:, None]).ravel()
+    before = set(threading.enumerate())
+    for parity in Parity:
+        split = eig_complex_tridiag(32, parity, couplings)
+        with monkeypatch.context() as patch:
+            patch.setattr(lipkin.eigen, "_usable_cpus", lambda: 1)
+            serial = eig_complex_tridiag(32, parity, couplings)
+        diag, factors = lipkin.core._sector_arrays(32, parity)
+        i = np.arange(len(diag))
+        offdiag = couplings[:, None] * factors.astype(complex)
+        stack = np.zeros((len(couplings), len(i), len(i)), dtype=complex)
+        stack[:, i, i] = diag
+        stack[:, i[:-1], i[1:]] = stack[:, i[1:], i[:-1]] = offdiag
+        w = np.linalg.eigvals(stack)
+        w = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), -1)
+        assert split.tobytes() == serial.tobytes() == w.tobytes()
+    assert set(threading.enumerate()) == before
 
 
 def test_sector_arrays_built_once_and_read_only(monkeypatch):

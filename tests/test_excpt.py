@@ -24,7 +24,7 @@ from lipkin.core import UsageError, _sector_arrays, sector_basis
 from lipkin.eigen import det_state_at
 
 from oracles import branch_couplings
-from test_eigen import dense_lex_eigvals
+from test_eigen import dense_lex_eigvals, fail_block
 
 
 def closest_pair_gap(n, parity, g):
@@ -408,12 +408,13 @@ def test_refine_stall_fallback_still_applies_the_certificate(monkeypatch):
         ep_refine(32, Parity.EVEN, g_star + 1e-5, e_star)
 
 
-def count_solves(monkeypatch):
+def record_solves(monkeypatch):
+    """The couplings of every complex solve the scan and the walks make."""
     calls = []
     real_solver = lipkin.excpt.eig_complex_tridiag
 
     def counting(n, parity, couplings):
-        calls.append(len(couplings))
+        calls.append(np.asarray(couplings, dtype=complex).ravel())
         return real_solver(n, parity, couplings)
 
     monkeypatch.setattr(lipkin.excpt, "eig_complex_tridiag", counting)
@@ -430,19 +431,35 @@ def test_scan_matches_per_cell_reference(n, parity):
             for ep in found] == reference_scan(n, parity, region, 24)
 
 
-def test_scan_solves_one_stack_per_grid_row(monkeypatch):
-    calls = count_solves(monkeypatch)
+def test_scan_solves_every_cell_once_in_row_order(monkeypatch):
+    nx, ny = 30, 20
+    xs = (np.arange(nx) + 0.5) * 3.0 / nx
+    ys = (np.arange(ny) + 0.5) * 3.0 / ny
     real_solves = []
     for module, name in [(lipkin.eigen, "_values"),
                          (scipy.linalg, "eigh_tridiagonal")]:
         monkeypatch.setattr(module, name,
                             lambda *a, **k: real_solves.append(a))
-    found = ep_scan(8, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), (30, 20))
-    assert found
-    assert all(ep_pair_id(ep) for ep in found)
-    # one stack per grid row, then one per pair-tracking walk; the pair
-    # labels need no real solve
-    assert calls == [30] * 20 + [60] * len(found)
+    # the default budget takes the whole grid in one call; a budget of 3
+    # rows of the N=8 even block (dimension 5) takes 3 rows per call
+    for budget, rows_per_call in [(None, [ny]),
+                                  (16 * 5 * nx * 3, [3] * 6 + [2])]:
+        with monkeypatch.context() as patch:
+            if budget:
+                patch.setattr(lipkin.excpt, "_SCAN_BYTES", budget)
+            calls = record_solves(patch)
+            found = ep_scan(8, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), (nx, ny))
+            assert found
+            assert all(ep_pair_id(ep) for ep in found)
+        scan, walks = calls[:-len(found)], calls[-len(found):]
+        # blocks of whole grid rows cover every cell centre exactly once,
+        # in row order
+        assert [len(c) % nx for c in scan] == [0] * len(scan)
+        assert [len(c) // nx for c in scan] == rows_per_call
+        assert np.concatenate(scan).tolist() == [complex(x, y)
+                                                 for y in ys for x in xs]
+        # then one 60-coupling walk per EP; the labels need no real solve
+        assert [len(c) for c in walks] == [60] * len(found)
     assert real_solves == []
 
 
@@ -458,15 +475,7 @@ def test_scan_skips_exactly_a_failed_cell(monkeypatch):
     lam0 = baseline[0][0]
     step = (region[1] - region[0]) / grid
     cell = (int(lam0.imag / step), int(lam0.real / step))
-    marker = lam0 * _sector_arrays(n, parity)[1][0]
-    real_eigvals = np.linalg.eigvals
-
-    def failing(a):
-        if np.any(a[..., 0, 1] == marker):
-            raise np.linalg.LinAlgError("forced non-convergence")
-        return real_eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    fail_block(monkeypatch, lam0 * _sector_arrays(n, parity)[1][0])
     seeds.clear()
     with pytest.warns(RuntimeWarning,
                       match="^1 of 576 cells skipped: eigensolve failed$"):
@@ -477,9 +486,9 @@ def test_scan_skips_exactly_a_failed_cell(monkeypatch):
 
 def test_pair_id_solves_one_stack_per_walk(monkeypatch):
     ep = ep_refine(8, Parity.EVEN, 1.51 + 1.41j, -3.4 - 1.1j)
-    calls = count_solves(monkeypatch)
+    calls = record_solves(monkeypatch)
     assert ep_pair_id(ep) == (1, 2)
-    assert calls == [60]
+    assert [len(c) for c in calls] == [60]
 
     # a walk whose tracked endpoints are not adjacent levels fails at
     # once: the two values nearest E* keep ranks 1 and 3 on every row
