@@ -110,16 +110,10 @@ def gaps(s: Spectrum, sector: Parity) -> np.ndarray:
     return np.diff(values)
 
 
-def _lower_half_min_gap(values: np.ndarray) -> tuple[int, float]:
+def _lower_half_min_gap(sector_gaps: np.ndarray) -> tuple[int, float]:
     """Index and size of the smallest gap among one sector's lower-half
-    levels (values ascending); ties go to the smallest index."""
-    if len(values) < 2:
-        raise UsageError(
-            f"sector has {len(values)} level(s); no gaps to take"
-        )
-    half = (len(values) + 1) // 2
-    n_gaps = max(1, half - 1)
-    search = np.diff(values[:n_gaps + 1])
+    levels, given that sector's gaps; ties go to the smallest index."""
+    search = sector_gaps[:max(1, len(sector_gaps) // 2)]
     i = int(np.argmin(search))  # argmin takes the first of equal values
     return i, float(search[i])
 
@@ -132,7 +126,7 @@ def min_gap(s: Spectrum, sector: Parity) -> tuple[int, float]:
     x_c of the scaled spectrum.  Ties go to the smallest index.
     """
     values = s.levels(sector.value)
-    i, gap = _lower_half_min_gap(values)
+    i, gap = _lower_half_min_gap(gaps(s, sector))
     k_c = int(np.searchsorted(s.merged, values[i], side="left")) + 1
     return k_c, gap
 
@@ -181,12 +175,8 @@ def critical_x(n_particles: int, coupling: float,
 
 def _sector_gap(n: int, coupling: float, k: int) -> float:
     """E_{k+1} - E_k of the EVEN sector, from those two levels alone."""
-    block = build_block(n, coupling, Parity.EVEN)
-    if k > block.dimension - 1:
-        raise ValueError(
-            f"sector has only {block.dimension - 1} gaps, asked for k={k}"
-        )
-    lower, upper = eig_real_tridiag(block, index_range=(k - 1, k)).values
+    lower, upper = eig_real_tridiag(build_block(n, coupling, Parity.EVEN),
+                                    index_range=(k - 1, k)).values
     return float(upper - lower)
 
 
@@ -237,7 +227,7 @@ def gap_ratio_eq3(coupling: float, n_list: Sequence[int]) -> ScalingReport:
     ends = np.cumsum([b.dimension for b in blocks])[:-1]
     samples = []
     for n, levels in zip(n_list, np.split(values, ends)):
-        _, gap = _lower_half_min_gap(levels)
+        _, gap = _lower_half_min_gap(np.diff(levels))
         samples.append((n, gap * math.log(n) / denom))
     return ScalingReport(samples, [r for _, r in samples])
 

@@ -3,8 +3,8 @@
 Commands map onto the library one-to-one and emit CSV or JSON.  Output
 is deterministic: floats print in shortest round-trip form, rows come in
 a fixed order, and run metadata excludes wall-clock timing unless
---timing is passed (timing would break byte-identical reruns).  Files
-are written atomically -- a failed run leaves nothing behind.
+--timing is passed (timing would break byte-identical reruns).  Regular
+files are written atomically -- a failed run leaves nothing behind.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
@@ -81,27 +81,43 @@ def _json_payload(config: dict, results, elapsed: float | None) -> str:
 
 def _check_output(path: str) -> None:
     """Reject an --output path that cannot name a file, before any solve."""
+    if not path:
+        raise UsageError("--output '' names no file")
     if os.path.isdir(path):
         raise UsageError(f"--output {path!r} is a directory")
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(os.path.realpath(path))
     if not os.path.isdir(directory):
         raise UsageError(f"--output {path!r}: no directory {directory!r}")
 
 
 def _emit(text: str, path: str | None) -> None:
-    """Write to stdout or atomically to a file; a file that cannot be
-    written is a UsageError and leaves nothing behind."""
+    """Write to stdout or to the file path names, through any symlink; a
+    file that cannot be written is a UsageError.  A FIFO or a device is
+    written in place.  A regular file is replaced atomically by a temp
+    file with the mode a plain open would give, so a failed write leaves
+    nothing behind."""
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lipkin-",
-                                   suffix=".tmp")
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w") as handle:
+                handle.write(text)
+            return
+        target = os.path.realpath(path)
+        if os.path.exists(target):  # a plain open keeps a file's mode
+            mode = os.stat(target).st_mode & 0o777
+        else:  # and gives a new file 0o666 less the umask
+            umask = os.umask(0o077)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                   prefix=".lipkin-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
+                os.fchmod(handle.fileno(), mode)
                 handle.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -18,8 +18,9 @@ import numpy as np
 
 
 class UsageError(ValueError):
-    """An argument outside a call's rules (CLI exit 2): a sweep's k, N or
-    coupling or a scan region, before any solve; too few levels, after."""
+    """An argument outside a call's rules (CLI exit 2): an N below 1, a
+    sweep's k, N or coupling, or a scan region or grid, before any solve;
+    too few levels, after."""
 
 
 class Parity(enum.Enum):
@@ -45,7 +46,7 @@ def sector_basis(n_particles: int, parity: Parity) -> np.ndarray:
     floating point (integers or half-integers).
     """
     if n_particles < 1:
-        raise ValueError(
+        raise UsageError(
             f"n_particles must be >= 1, got {n_particles}; the 1/N "
             "interaction scale is undefined otherwise"
         )

@@ -2,8 +2,9 @@
 
 Three routes, each matched to where it is used:
 
-* real coupling: LAPACK's symmetric-tridiagonal divide-and-conquer
-  routine dstevd, O(dim) storage, handles dim ~ 10^4;
+* real coupling: LAPACK's divide-and-conquer routine dstevd for every
+  full solve, with or without vectors, up to dim ~ 10^4, and Sturm
+  bisection through scipy.linalg for a range of levels;
 * complex coupling: dense Hessenberg QR (LAPACK zgeev), one block per
   call, at many couplings of one sector at once (the blocks differ only
   in g); branch-point searches never exceed dim ~ 100, so dense is fine;
@@ -38,9 +39,6 @@ from .core import Parity, TridiagonalBlock, _sector_arrays
 #: upper bound on the bytes of one slice of dense complex blocks that a
 #: solver worker builds at once
 _STACK_BYTES = 1 << 17
-#: largest block entry that LAPACK's bisection (index_range) takes
-#: unscaled; the squares it forms overflow from about 2**512 = 1.34e154
-_BISECTION_MAX = 2.0 ** 510
 
 
 def _lapack_function(name: str, *argtypes) -> ctypes.CFUNCTYPE:
@@ -112,10 +110,10 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
     """Eigenvalues of real-coupling blocks, ascending within each block.
 
     blocks is one block or a sequence of them.  For a sequence, values
-    holds every block's levels concatenated in the order given.  Without
-    vectors or index_range the blocks are solved concurrently, largest
-    first, on worker threads that are joined before the call returns
-    (_fan_out).
+    holds every block's levels concatenated in the order given.  A full
+    solve, with or without vectors, is LAPACK dstevd (_dstevd); the
+    blocks are solved concurrently, largest first, on worker threads
+    that are joined before the call returns (_fan_out).
     index_range=(lo, hi) asks for levels lo..hi of a single block only
     (0-based, inclusive), found by Sturm-count bisection at O(dim) per
     level; use it when a few levels are needed, never for the whole
@@ -128,41 +126,35 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
     batch = [blocks] if isinstance(blocks, TridiagonalBlock) else list(blocks)
     for block in batch:
         _check_real(block)
-    if not want_vectors and index_range is None:
-        if not batch:
-            return EigenResult(np.empty(0), None)
-        order = sorted(range(len(batch)), key=lambda i: batch[i].dimension,
-                       reverse=True)
-        solved = dict(zip(order, _fan_out(_values, [batch[i] for i in order])))
-        # checked in input order, so the first overflowing block is named
-        return EigenResult(np.concatenate(
-            [_check_levels(b, solved[i]) for i, b in enumerate(batch)]), None)
-    if len(batch) != 1:
+    if (want_vectors or index_range is not None) and len(batch) != 1:
         raise ValueError("vectors and index_range take a single block, "
                          f"got {len(batch)}")
+    if index_range is None:
+        order = sorted(range(len(batch)), key=lambda i: batch[i].dimension,
+                       reverse=True)
+        solved = dict(zip(order, _fan_out(lambda b: _dstevd(b, want_vectors),
+                                          [batch[i] for i in order])))
+        # checked in input order, so the first overflowing block is named
+        levels = [_check_levels(b, solved[i][0]) for i, b in enumerate(batch)]
+        return EigenResult(np.concatenate([np.empty(0), *levels]),
+                           solved[0][1] if want_vectors else None)
     block, = batch
-    diag, offdiag, scale = block.diag, block.offdiag, 0
-    select = {}
-    if index_range is not None:
-        lo, hi = index_range
-        if not 0 <= lo <= hi < block.dimension:
-            raise ValueError(
-                f"level range ({lo}, {hi}) is outside 0..{block.dimension - 1}"
-            )
-        select = {"select": "i", "select_range": (lo, hi)}
-        # dstevd rescales a block, bisection does not: bisect a huge
-        # block scaled by an exact power of two, which leaves the
-        # vectors as they are and the levels exact up to that power
-        top = max(np.abs(diag).max(), np.abs(offdiag).max(initial=0.0))
-        if top > _BISECTION_MAX:
-            scale = math.frexp(top)[1]
-            diag, offdiag = np.ldexp(diag, -scale), np.ldexp(offdiag, -scale)
+    lo, hi = index_range
+    if not 0 <= lo <= hi < block.dimension:
+        raise ValueError(f"level range ({lo}, {hi}) is outside "
+                         f"0..{block.dimension - 1}")
+    # dstevd rescales a block, bisection does not, and the squares it
+    # forms overflow from about 2**512: bisect the block scaled by an
+    # exact power of two, which leaves the vectors as they are and the
+    # levels exact up to that power
+    scale = math.frexp(max(np.abs(block.diag).max(),
+                           np.abs(block.offdiag).max(initial=0.0)))[1]
     solved = scipy.linalg.eigh_tridiagonal(
-        diag, offdiag, eigvals_only=not want_vectors, **select)
+        np.ldexp(block.diag, -scale), np.ldexp(block.offdiag, -scale),
+        eigvals_only=not want_vectors, select="i", select_range=(lo, hi))
     values, vectors = solved if want_vectors else (solved, None)
-    if scale:
-        with np.errstate(over="ignore"):  # _check_levels names an overflow
-            values = np.ldexp(values, scale)
+    with np.errstate(over="ignore"):  # _check_levels names an overflow
+        values = np.ldexp(values, scale)
     return EigenResult(_check_levels(block, values), vectors)
 
 
@@ -194,27 +186,32 @@ def _check_levels(block: TridiagonalBlock, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _values(block: TridiagonalBlock) -> np.ndarray:
-    """All levels of one checked real block, ascending: LAPACK dstevd
-    with jobz='N', the routine scipy's eigh_tridiagonal runs by default,
-    called without the interpreter lock.  Runs on worker threads, so it
-    touches no public function of the package.  A 1x1 block comes
-    back as its diagonal, as from scipy."""
+def _dstevd(block: TridiagonalBlock, want_vectors: bool) -> tuple:
+    """All levels of one checked real block, ascending, and with
+    want_vectors their vectors as columns: LAPACK dstevd with the
+    workspace scipy's eigh_tridiagonal passes it, so the bits are
+    scipy's, called without the interpreter lock.  Runs on worker
+    threads, so it touches no public function of the package."""
     d = np.array(block.diag, dtype=float)  # overwritten with the levels
     e = np.array(block.offdiag, dtype=float)  # destroyed
-    z, work = np.empty(1), np.empty(1)  # z is not referenced for jobz='N'
-    iwork = np.empty(1, dtype=np.intc)
-    n, one, info = ctypes.c_int(len(d)), ctypes.c_int(1), ctypes.c_int(0)
-    _DSTEVD(b"N", ctypes.byref(n), d.ctypes.data, e.ctypes.data,
-            z.ctypes.data, ctypes.byref(one), work.ctypes.data,
-            ctypes.byref(one), iwork.ctypes.data, ctypes.byref(one),
-            ctypes.byref(info))
+    n = len(d)
+    # jobz='N' references no z and needs one entry of each workspace
+    ldz, lwork, liwork = ((n, 1 + 4 * n + n * n, 3 + 5 * n) if want_vectors
+                          else (1, 1, 1))
+    z = np.empty((ldz, ldz), order="F")
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.intc)
+    info = ctypes.c_int(0)
+    n_, ldz_, lwork_, liwork_ = (ctypes.byref(ctypes.c_int(k))
+                                 for k in (n, ldz, lwork, liwork))
+    _DSTEVD(b"V" if want_vectors else b"N", n_, d.ctypes.data,
+            e.ctypes.data, z.ctypes.data, ldz_, work.ctypes.data, lwork_,
+            iwork.ctypes.data, liwork_, ctypes.byref(info))
     if info.value < 0:
         raise ValueError(f"illegal value in argument {-info.value} of dstevd")
     if info.value > 0:
         raise np.linalg.LinAlgError(
             f"dstevd did not converge (LAPACK info={info.value})")
-    return d
+    return d, z if want_vectors else None
 
 
 def eig_complex_tridiag(n_particles: int, parity: Parity,

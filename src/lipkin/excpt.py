@@ -218,17 +218,19 @@ def ep_scan(n_particles: int, sector: Parity,
     """Find the EPs of one sector inside a rectangle of the upper
     half coupling plane.
 
-    region is (re_min, re_max, im_min, im_max); a region without
-    re_min < re_max and 0 <= im_min < im_max raises UsageError before
-    any solve.  The rectangle is tiled into grid cells; at each cell
-    center the complex spectrum is computed, and cells where the two
-    closest eigenvalues dip to a local minimum seed the Newton
-    refinement.  The solver takes blocks of whole grid rows in row order,
-    as many per call as keep the eigenvalues it returns within
-    _SCAN_BYTES.  A cell whose solve fails is skipped, and the number of
-    skipped cells is reported as a RuntimeWarning.  Cell centers carry
-    strictly positive imaginary part, which matters: a Newton iterate
-    seeded exactly on the real axis could never leave it.  A refined g* is kept if it lies inside
+    region is (re_min, re_max, im_min, im_max), and grid the cells per
+    axis, one integer for both or a pair (nx, ny); a region without
+    re_min < re_max and 0 <= im_min < im_max, or a grid axis that is not
+    an integer >= 1, raises UsageError before any solve.  The rectangle
+    is tiled into grid cells; at each cell center the complex spectrum
+    is computed, and cells where the two closest eigenvalues dip to a
+    local minimum seed the Newton refinement.  The solver takes blocks
+    of whole grid rows in row order, as many per call as keep the
+    eigenvalues it returns within _SCAN_BYTES.  A cell whose solve fails
+    is skipped, and the number of skipped cells is reported as a
+    RuntimeWarning.  Cell centers carry strictly positive imaginary
+    part, which matters: a Newton iterate seeded exactly on the real
+    axis could never leave it.  A refined g* is kept if it lies inside
     the rectangle widened on all four sides by 2 % of its larger extent.
     Results are deduplicated (1e-6 in g), sorted by (Re g*, Im g*) and
     unlabelled: ep_pair_id labels an EP.
@@ -237,10 +239,10 @@ def ep_scan(n_particles: int, sector: Parity,
     if not (re0 < re1 and 0.0 <= im0 < im1):
         raise UsageError(f"the scan region {region} needs re_min < re_max "
                          "and 0 <= im_min < im_max")
-    if isinstance(grid, int):
-        nx = ny = grid
-    else:
-        nx, ny = grid
+    nx, ny = (grid, grid) if np.isscalar(grid) else grid
+    if not all(isinstance(k, int) and k >= 1 for k in (nx, ny)):
+        raise UsageError(f"the scan grid {grid} needs an integer >= 1 "
+                         "per axis")
     xs, ys = _cell_centres(re0, re1, nx), _cell_centres(im0, im1, ny)
     gap = np.empty((ny, nx))
     mid = np.empty((ny, nx), dtype=complex)

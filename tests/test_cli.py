@@ -123,6 +123,18 @@ def test_fit_command_json():
     assert doc["results"]["x_c"] == pytest.approx(0.58, abs=0.02)
 
 
+def test_fit_window_bounds_every_row():
+    code, out, _ = run_cli(["fit", "--n", "2048", "--lambda", "5",
+                            "--window", "0.03,0.12", "--format", "json"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["window"] == [0.03, 0.12]
+    rows = results["rows"]
+    assert {row["side"] for row in rows} == {"left", "right"}
+    assert all(0.03 <= abs(row["x"] - results["x_c"]) <= 0.12
+               for row in rows)
+
+
 def test_fit_reports_every_acid_test_point_it_computed():
     # the stride-2 midpoints of the acid test sit on levels, but their x
     # differs from 2k/N by an ulp at some k; each must reach its row
@@ -229,6 +241,76 @@ def test_failed_output_write_is_usage_error_and_leaves_nothing(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+GAPS_ARGV = ["gaps", "--n", "6", "--lambda", "2"]
+
+
+def test_output_writes_through_a_symlink(tmp_path):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real.name)
+    code, expected, _ = run_cli(GAPS_ARGV)
+    assert code == 0
+    assert run_cli(GAPS_ARGV + ["--output", str(link)])[0] == 0
+    assert link.is_symlink()
+    assert real.read_text() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv",
+                                                          "real.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_output_writes_into_a_fifo_in_place(tmp_path):
+    import stat
+    import threading
+
+    fifo, keep = tmp_path / "out.fifo", tmp_path / "keep.fifo"
+    os.mkfifo(fifo)
+    os.link(fifo, keep)  # a second name, to release a stuck reader
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(keep.read_text()), daemon=True)
+    reader.start()
+    code, expected, _ = run_cli(GAPS_ARGV)
+    try:
+        assert run_cli(GAPS_ARGV + ["--output", str(fifo)])[0] == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "nothing was written into the FIFO"
+    finally:
+        if reader.is_alive():
+            os.close(os.open(keep, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received == [expected]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
+def test_output_file_gets_the_mode_of_a_plain_open(umask, mode, tmp_path):
+    target = tmp_path / "gaps.csv"
+    old = os.umask(umask)
+    try:
+        assert run_cli(GAPS_ARGV + ["--output", str(target)])[0] == 0
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == mode
+    # an existing file keeps its mode, as under a plain open
+    target.chmod(0o600)
+    assert run_cli(GAPS_ARGV + ["--output", str(target)])[0] == 0
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_empty_output_path_is_usage_error_before_any_solve(monkeypatch):
+    import lipkin.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --output")
+
+    monkeypatch.setattr(lipkin.cli, "full_spectrum", no_solve)
+    code, out, err = run_cli(GAPS_ARGV + ["--output", ""])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --output ''")
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--n", "50", "--lambda", "1.7"],
     ["spectrum", "--n", "64", "--lambda", "10", "--derivative",
@@ -313,6 +395,9 @@ def test_bad_scaling_input_is_usage_error_before_any_solve(argv, monkeypatch):
     ["scaling", "--law", "eq3", "--lambda", "nan", "--n-list", "64,128"],
     ["fit", "--n", "512", "--lambda", "5", "--window", "0.5,0.1"],
     ["fit", "--n", "512", "--lambda", "5", "--window", "0.1,nan"],
+    ["fit", "--n", "512", "--lambda", "5", "--window", "0.2,0.1"],
+    ["spectrum", "--n", "abc", "--lambda", "1"],
+    ["spectrum", "--n", "8", "--lambda", "abc"],
     ["eps", "--n", "4", "--re-max", "3", "--im-max", "3", "--grid", "0"],
     ["eps", "--n", "4", "--re-max", "3", "--im-max", "-1"],
     ["eps", "--n", "4", "--re-min", "3", "--re-max", "1", "--im-max", "1"],
@@ -448,6 +533,35 @@ def test_eps_failed_solve_on_one_walk_blanks_only_that_pair(monkeypatch):
     expected[1][4] = expected[1][5] = ""
     assert [line.split(",") for line in out.strip().split("\n")[1:]] \
         == expected
+
+
+def _workload_commands(name):
+    """The seed-0 argvs of one of the benchmark's workloads."""
+    import importlib.util
+
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.commands(name, 0)
+
+
+def test_scipy_bisects_but_never_solves_in_full(monkeypatch):
+    # every full real solve is the ctypes dstevd worker; scipy's
+    # eigh_tridiagonal is called for a level range only
+    import scipy.linalg
+
+    real = scipy.linalg.eigh_tridiagonal
+    selects = []
+
+    def spy(*args, **kwargs):
+        selects.append(kwargs.get("select", "a"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    for argv in _workload_commands("spectra") + _workload_commands("scaling"):
+        assert run_cli(argv)[0] == 0, argv
+    assert selects and set(selects) == {"i"}
 
 
 def test_benchmark_tracer_binding_names():

@@ -9,6 +9,7 @@ from lipkin import (
     sector_basis,
 )
 
+from lipkin.core import UsageError
 from oracles import dense_sector_block, full_m_grid
 
 LAMBDA_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
@@ -24,8 +25,10 @@ def test_sector_basis_examples():
 
 
 def test_sector_basis_rejects_zero():
-    with pytest.raises(ValueError):
-        sector_basis(0, Parity.EVEN)
+    # N < 1 is an argument outside the rules, as in the sweeps and scans
+    for n in [0, -1]:
+        with pytest.raises(UsageError, match="n_particles must be >= 1"):
+            sector_basis(n, Parity.EVEN)
 
 
 @given(n=st.integers(min_value=1, max_value=64))

@@ -123,6 +123,40 @@ def test_real_solver_is_byte_equal_to_scipy(n):
             assert values.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 1001])
+def test_real_solver_vectors_are_byte_equal_to_scipy(n):
+    # the vector route calls LAPACK dstevd itself too, with jobz='V' and
+    # the workspace scipy's wrapper passes
+    for parity in Parity:
+        for lam in [0.0, 1.0, -1.0, 5.0, 1e150]:
+            block = build_block(n, lam, parity)
+            ref_values, ref_vectors = scipy.linalg.eigh_tridiagonal(
+                block.diag, block.offdiag)
+            solved = eig_real_tridiag(block, want_vectors=True)
+            assert solved.values.tobytes() == ref_values.tobytes()
+            assert solved.vectors.shape == ref_vectors.shape
+            assert solved.vectors.tobytes() == ref_vectors.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 64, 1001, 4096])
+def test_real_solver_index_range_is_byte_equal_to_unscaled_bisection(n):
+    # every bisection runs on the block scaled by an exact power of two;
+    # below the overflow it gives the levels of the unscaled one, at the
+    # windows (k-1, k) eq2 asks for and at the top (a level at round-off
+    # size, such as the middle one of N=64 even at g=1e150, can flip sign)
+    for parity in Parity:
+        for lam in [0.0, 1e-300, 0.3, 1.0, -2.0, 5.0, 1e6, 1e100, 1e150]:
+            block = build_block(n, lam, parity)
+            dim = block.dimension
+            for lo, hi in [(k - 1, k) for k in range(1, min(6, dim))] + [
+                    (0, min(4, dim - 1)), (dim - 2, dim - 1)]:
+                reference = scipy.linalg.eigh_tridiagonal(
+                    block.diag, block.offdiag, eigvals_only=True,
+                    select="i", select_range=(lo, hi))
+                values = eig_real_tridiag(block, index_range=(lo, hi)).values
+                assert values.tobytes() == reference.tobytes()
+
+
 def test_real_solver_batch_concatenates_single_solves():
     blocks = [build_block(n, lam, parity)
               for n, lam in [(1, 2.0), (64, 5.0), (33, -1.5), (2000, 1.0)]
@@ -214,8 +248,9 @@ def test_real_solver_failure_is_a_linalg_error(monkeypatch):
         args[-1]._obj.value = 3  # info > 0
 
     monkeypatch.setattr(lipkin.eigen, "_DSTEVD", no_convergence)
-    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
-        eig_real_tridiag(build_block(16, 1.0, Parity.EVEN))
+    for want_vectors in [False, True]:
+        with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+            eig_real_tridiag(build_block(16, 1.0, Parity.EVEN), want_vectors)
 
 
 def test_complex_solver_analytic_coalescence():

@@ -142,6 +142,17 @@ def test_scan_rejects_an_empty_region_before_any_solve(region, monkeypatch):
         ep_scan(8, Parity.EVEN, region, 30)
 
 
+@pytest.mark.parametrize("grid", [0, (0, 5), (5, 0), -1, (3, -2), 2.5,
+                                  (4, 4.0)])
+def test_scan_rejects_a_bad_grid_before_any_solve(grid, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved a block for a rejected grid")
+
+    monkeypatch.setattr(lipkin.excpt, "eig_complex_tridiag", no_solve)
+    with pytest.raises(UsageError, match="scan grid"):
+        ep_scan(8, Parity.EVEN, (0.0, 3.0, 0.0, 3.0), grid)
+
+
 #: distinct g* on Re g = 0 in [0, 3]^2 that the grid scan misses: the
 #: E* = 0 families of even N (EP3s in EVEN, iN/(N - 1 - 4k) in ODD)
 AXIS_FAMILIES = {Parity.EVEN: {8: 1, 16: 3, 32: 5},
@@ -436,7 +447,7 @@ def test_scan_solves_every_cell_once_in_row_order(monkeypatch):
     xs = (np.arange(nx) + 0.5) * 3.0 / nx
     ys = (np.arange(ny) + 0.5) * 3.0 / ny
     real_solves = []
-    for module, name in [(lipkin.eigen, "_values"),
+    for module, name in [(lipkin.eigen, "_dstevd"),
                          (scipy.linalg, "eigh_tridiagonal")]:
         monkeypatch.setattr(module, name,
                             lambda *a, **k: real_solves.append(a))
