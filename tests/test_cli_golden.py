@@ -5,8 +5,11 @@ scripts at their default sizes, a few JSON forms, an eq3 sweep, the
 near-axis `eps` scan of N=32, odd-N `eps` runs, whose pair labels
 follow a convention of their own (see `ep_pair_id`), an unlabelled
 `eps` scan, a `fit` whose acid-test join needs the level index, an
-`eps` scan with a lower Im edge, eq2 sweeps past the bisection's range
-and the largest vector solves of `localization`.  `cli_golden.json`
+`eps` scan with a lower Im edge, eq2 sweeps past the bisection's range,
+the largest vector solves of `localization`, one-side `fit`s with
+fewer terms, a one-sector `eps` scan, a full spectrum with padded
+derivative columns, an eq2 sweep in JSON and an `eps` table with no
+rows.  `cli_golden.json`
 holds the digests; it records the behaviour contract, so a refactor
 must match it rather than rewrite it.  Every command in the README's CLI
 block must have an entry, so a README edit cannot leave it unpinned.
