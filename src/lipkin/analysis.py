@@ -60,10 +60,11 @@ class ScaledSpectrum:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Samples of a finite-size scaling quantity plus its summary."""
+    """Samples (N, value), ascending in N, and a summary: eq2's fitted
+    log-log slope, or None for eq3, whose ratios are the samples."""
 
     samples: list[tuple[int, float]]
-    summary: float | list[float]  # eq2: fitted exponent; eq3: the ratios
+    summary: float | None
 
 
 def full_spectrum(n_particles: int, coupling: float) -> Spectrum:
@@ -229,20 +230,22 @@ def gap_ratio_eq3(coupling: float, n_list: Sequence[int]) -> ScalingReport:
     for n, levels in zip(n_list, np.split(values, ends)):
         _, gap = _lower_half_min_gap(np.diff(levels))
         samples.append((n, gap * math.log(n) / denom))
-    return ScalingReport(samples, [r for _, r in samples])
+    return ScalingReport(samples, None)
 
 
-def ipr(v: np.ndarray) -> float:
-    """Inverse participation ratio of a normalized coefficient vector.
+def ipr(v: np.ndarray):
+    """Inverse participation ratio of a normalized coefficient vector, or
+    an array of them for the columns of a matrix.
 
     1 for a basis state, 1/dim for a uniform superposition.
     """
-    v = np.asarray(v)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"vector norm {norm} is not 1 within 1e-10")
-    a2 = np.abs(v) ** 2
-    return float(np.sum(a2 * a2))
+    a = np.abs(np.asarray(v))  # squared in place: one copy of v at most
+    a *= a
+    off = np.abs(np.sqrt(a.sum(axis=0)) - 1.0)
+    if np.any(off > 1e-10):
+        raise ValueError(f"a vector norm is off 1 by {off.max()} > 1e-10")
+    a *= a
+    return a.sum(axis=0)
 
 
 def spectral_derivative(ss: ScaledSpectrum) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,13 @@
 """Command-line driver: every analysis as a reproducible run.
 
-Commands map onto the library one-to-one and emit CSV or JSON.  Output
-is deterministic: floats print in shortest round-trip form, rows come in
-a fixed order, and run metadata excludes wall-clock timing unless
---timing is passed (timing would break byte-identical reruns).  Regular
-files are written atomically -- a failed run leaves nothing behind.
+Commands map onto the library one-to-one.  Each `cmd_*` returns one
+table, (columns, results): column names mapped, in order, to equal-length
+cell sequences, and its further JSON results; `main` alone writes them
+as CSV or JSON.  Output is deterministic: floats print in shortest
+round-trip form, rows come in a fixed order, and run metadata excludes
+wall-clock timing unless --timing is passed (timing would break
+byte-identical reruns).  Regular files are written atomically -- a
+failed run leaves nothing behind.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
@@ -60,7 +63,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
+def _csv_lines(header: list[str], rows: list[tuple]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -133,72 +136,58 @@ def _progress(message: str) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_spectrum(args) -> tuple[list[str], list[list], dict]:
+def cmd_spectrum(args) -> tuple[dict, dict]:
     s = full_spectrum(args.n, args.lam)
-    selector = args.sector
-    values = s.levels(selector)
-    if selector == "merged":
-        sector_tags = [str(p) for p in s.merged_parity]
-    else:
-        sector_tags = [selector] * len(values)
-    count = min(len(values), args.n // 2) if args.lower_half else len(values)
-    header = ["k", "x", "E", "eps", "sector"]
-    rows = []
-    for k in range(1, count + 1):
-        e = values[k - 1]
-        rows.append([k, 2.0 * k / args.n, e, _scaled_energy(e, args.n),
-                     sector_tags[k - 1]])
+    values = s.levels(args.sector)
+    half = min(len(values), args.n // 2)
+    count = half if args.lower_half else len(values)
+    k = np.arange(1, count + 1)
+    tags = (s.merged_parity[:count].astype(str) if args.sector == "merged"
+            else [args.sector] * count)
+    columns = {"k": k, "x": 2.0 * k / args.n, "E": values[:count],
+               "eps": _scaled_energy(values[:count], args.n), "sector": tags}
     if args.derivative:
-        ss = scaled_spectrum(s, selector)
-        xm, slope = spectral_derivative(ss)
-        header += ["x_mid", "deps_dx"]
-        for i, row in enumerate(rows):
-            if i < len(xm):
-                row.extend([xm[i], slope[i]])
-            else:
-                row.extend(["", ""])
-    extra = {"lower_half_points": min(len(values), args.n // 2)}
-    return header, rows, extra
+        xm, slope = spectral_derivative(scaled_spectrum(s, args.sector))
+        blank = [""] * (count - len(xm))
+        columns["x_mid"] = [*xm, *blank]
+        columns["deps_dx"] = [*slope, *blank]
+    return columns, {"lower_half_points": half}
 
 
-def cmd_gaps(args) -> tuple[list[str], list[list], dict]:
+def cmd_gaps(args) -> tuple[dict, dict]:
     s = full_spectrum(args.n, args.lam)
     sector = Parity(args.sector)
     g = gaps(s, sector)
     values = s.levels(args.sector)
-    header = ["k", "e_low", "e_high", "gap"]
-    rows = [[k, values[k - 1], values[k], g[k - 1]]
-            for k in range(1, len(g) + 1)]
     k_c, smallest = min_gap(s, sector)
-    return header, rows, {"min_gap": smallest, "min_gap_merged_index": k_c}
+    columns = {"k": np.arange(1, len(g) + 1), "e_low": values[:-1],
+               "e_high": values[1:], "gap": g}
+    return columns, {"min_gap": smallest, "min_gap_merged_index": k_c}
 
 
-def cmd_scaling(args) -> tuple[list[str], list[list], dict]:
+def cmd_scaling(args) -> tuple[dict, dict]:
     n_list = args.n_list
     if args.law == "eq2":
         lam = 1.0 if args.lam is None else args.lam
         _progress(f"gap-exponent sweep over N={n_list} at coupling {lam}")
         report = scaling_exponent_eq2(args.k, n_list, lam)
-        header = ["n", "gap"]
-        extra = {"law": "eq2", "k": args.k, "lambda": lam,
-                 "slope": report.summary, "expected_slope": -1.0 / 3.0}
-    else:
-        if args.lam is None:
-            raise UsageError("--law eq3 needs --lambda")
-        _progress(f"min-gap ratio sweep over N={n_list} at coupling {args.lam}")
-        report = gap_ratio_eq3(args.lam, n_list)
-        header = ["n", "ratio"]
-        extra = {"law": "eq3", "lambda": args.lam,
-                 "ratios": [float(r) for r in report.summary]}
-    rows = [[n, v] for n, v in report.samples]
-    return header, rows, extra
+        n, gap = zip(*report.samples)
+        return {"n": n, "gap": gap}, {
+            "law": "eq2", "k": args.k, "lambda": lam,
+            "slope": report.summary, "expected_slope": -1.0 / 3.0}
+    if args.lam is None:
+        raise UsageError("--law eq3 needs --lambda")
+    _progress(f"min-gap ratio sweep over N={n_list} at coupling {args.lam}")
+    n, ratio = zip(*gap_ratio_eq3(args.lam, n_list).samples)
+    return {"n": n, "ratio": ratio}, {"law": "eq3", "lambda": args.lam,
+                                      "ratios": list(ratio)}
 
 
-def cmd_eps(args) -> tuple[list[str], list[list], dict]:
+def cmd_eps(args) -> tuple[dict, dict]:
     sectors = ([Parity.EVEN, Parity.ODD] if args.sector == "both"
                else [Parity(args.sector)])
     region = (args.re_min, args.re_max, args.im_min, args.im_max)
-    rows = []
+    found = []
     for sector in sectors:
         _progress(f"scanning {sector} sector over {region} "
                   f"with a {args.grid}x{args.grid} grid")
@@ -209,44 +198,48 @@ def cmd_eps(args) -> tuple[list[str], list[list], dict]:
                     pair = ep_pair_id(ep)
                 except EpTrackingError:
                     pass
-            rows.append([ep.lambda_star.real, ep.lambda_star.imag,
-                         ep.energy_star.real, ep.energy_star.imag,
-                         pair[0], pair[1], str(ep.sector), ep.residual])
-    rows.sort(key=lambda r: (r[0], r[1]))
-    header = ["re_lambda", "im_lambda", "re_E", "im_E", "k", "k_next",
-              "sector", "residual"]
-    extra = {"count": len(rows)}
+            found.append((ep, pair))
+    found.sort(key=lambda f: (f[0].lambda_star.real, f[0].lambda_star.imag))
+    g_star = np.array([ep.lambda_star for ep, _ in found], dtype=complex)
+    e_star = np.array([ep.energy_star for ep, _ in found], dtype=complex)
+    columns = {"re_lambda": g_star.real, "im_lambda": g_star.imag,
+               "re_E": e_star.real, "im_E": e_star.imag,
+               "k": [pair[0] for _, pair in found],
+               "k_next": [pair[1] for _, pair in found],
+               "sector": [str(ep.sector) for ep, _ in found],
+               "residual": [ep.residual for ep, _ in found]}
+    results = {"count": len(found)}
     if args.im_tol is not None:
-        extra["near_real_count"] = _near_real_count(
-            [complex(r[0], r[1]) for r in rows], args.re_max, args.im_tol)
-        extra["im_tol"] = args.im_tol
-    return header, rows, extra
+        results["near_real_count"] = _near_real_count(g_star, args.re_max,
+                                                      args.im_tol)
+        results["im_tol"] = args.im_tol
+    return columns, results
 
 
-def cmd_fit(args) -> tuple[list[str], list[list], dict]:
+def cmd_fit(args) -> tuple[dict, dict]:
     window = tuple(args.window) if args.window else DEFAULT_WINDOW
     _progress(f"diagonalizing N={args.n} at coupling {args.lam}")
     s = full_spectrum(args.n, args.lam)
     x_c = critical_x(args.n, args.lam, spectrum=s)
     ss = scaled_spectrum(s, "merged")
     sides = [args.side] if args.side else ["left", "right"]
-    header = ["side", "x", "y", "y_fit", "dy_fit", "dy_fd", "rel_dev"]
-    rows = []
-    fit_info = {}
+    parts, fit_info = [], {}
     for side in sides:
         fit = fit_spectrum_side(ss, x_c, side, n_terms=args.terms,
                                 window=window)
         acid = derivative_comparison(fit, ss)
         xs, ys = window_points(ss, x_c, side, window)
-        yfit = fit_eval(fit, xs)
         # a stride-2 midpoint sits on a level k, but its x can differ
         # from 2k/N by an ulp: join the acid test to the rows by k
         fd_at = {round(x * args.n / 2): (float(f), float(r)) for x, f, r in
                  zip(acid["x"], acid["finite_difference"],
                      acid["relative_deviation"])}
-        for x, y, yf, dy in zip(xs, ys, yfit, fit_derivative(fit, xs)):
-            fd, rel = fd_at.get(round(x * args.n / 2), ("", ""))
-            rows.append([side, x, y, yf, dy, fd, rel])
+        joined = [fd_at.get(round(x * args.n / 2), ("", "")) for x in xs]
+        parts.append({"side": [side] * len(xs), "x": xs, "y": ys,
+                      "y_fit": fit_eval(fit, xs),
+                      "dy_fit": fit_derivative(fit, xs),
+                      "dy_fd": [fd for fd, _ in joined],
+                      "rel_dev": [rel for _, rel in joined]})
         coeffs = {f"a{p}": float(a)
                   for p, a in enumerate(fit.coefficients, start=1)}
         fit_info[side] = {
@@ -255,26 +248,22 @@ def cmd_fit(args) -> tuple[list[str], list[list], dict]:
             "acid_max_relative_deviation": acid["max_relative_deviation"],
             "acid_rms_relative_deviation": acid["rms_relative_deviation"],
         }
-    extra = {"x_c": x_c, "window": list(window), "n_terms": args.terms,
-             "fits": fit_info}
-    return header, rows, extra
+    columns = {name: [c for part in parts for c in part[name]]
+               for name in parts[0]}
+    return columns, {"x_c": x_c, "window": list(window),
+                     "n_terms": args.terms, "fits": fit_info}
 
 
-def cmd_localization(args) -> tuple[list[str], list[list], dict]:
-    sector = Parity(args.sector)
-    block = build_block(args.n, args.lam, sector)
+def cmd_localization(args) -> tuple[dict, dict]:
+    block = build_block(args.n, args.lam, Parity(args.sector))
     res = eig_real_tridiag(block, want_vectors=True)
-    header = ["k", "E", "eps", "ipr", "m_peak"]
-    rows = []
-    for k in range(1, len(res.values) + 1):
-        vec = res.vectors[:, k - 1]
-        peak = block.diag[int(np.argmax(np.abs(vec)))]
-        rows.append([k, res.values[k - 1],
-                     _scaled_energy(res.values[k - 1], args.n), ipr(vec),
-                     peak])
-    k_crit, _, vec = critical_state(args.n, res)
-    return header, rows, {"critical_level": k_crit,
-                          "critical_level_ipr": ipr(vec)}
+    iprs = ipr(res.vectors)
+    k_crit = critical_state(args.n, res)[0]
+    columns = {"k": np.arange(1, len(res.values) + 1), "E": res.values,
+               "eps": _scaled_energy(res.values, args.n), "ipr": iprs,
+               "m_peak": block.diag[np.argmax(np.abs(res.vectors), axis=0)]}
+    return columns, {"critical_level": k_crit,
+                     "critical_level_ipr": iprs[k_crit - 1]}
 
 
 # ------------------------------------------------------------------ driver
@@ -429,16 +418,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.output is not None:
             _check_output(args.output)
-        header, rows, extra = args.run(args)
+        columns, results = args.run(args)
         elapsed = time.monotonic() - start
+        # tolist() turns numpy cells into the ints, floats and strings
+        # json takes, with the same shortest round-trip digits
+        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                          for c in columns.values())))
         if args.format == "csv":
-            text = _csv_lines(header, rows)
+            text = _csv_lines(list(columns), rows)
         else:
-            # rows hold ints, strings and floats (np.float64 is a float to
-            # json); allow_nan=False: a NaN or infinity in the results
-            # raises ValueError here instead of emitting invalid JSON
-            results = {"rows": [dict(zip(header, row)) for row in rows],
-                       **extra}
+            # allow_nan=False: a NaN or infinity in the results raises
+            # ValueError here instead of emitting invalid JSON
+            results = {"rows": [dict(zip(columns, row)) for row in rows],
+                       **results}
             text = _json_payload(_config_echo(args),
                                  results,
                                  elapsed if args.timing else None)

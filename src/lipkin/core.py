@@ -81,9 +81,7 @@ class TridiagonalBlock:
     """One sector of H(g) as a symmetric tridiagonal matrix.
 
     diag holds the J_z eigenvalues m; offdiag holds g/(2N) times the
-    double-raising matrix elements.  For complex g the block is complex
-    symmetric (not Hermitian) -- intentionally so, since the analytic
-    continuation in g is what carries the branch-point structure.
+    double-raising matrix elements, for a real coupling g.
     """
 
     diag: np.ndarray = field(repr=False)
@@ -96,22 +94,16 @@ class TridiagonalBlock:
         return len(self.diag)
 
 
-def build_block(n_particles: int, coupling, parity: Parity) -> TridiagonalBlock:
-    """Assemble the tridiagonal sector block of H at the given coupling.
-
-    Real coupling gives a real symmetric block; complex coupling gives a
-    complex symmetric one (the diagonal stays real either way).  The
-    diagonal is the sector's shared read-only m-grid.
+def build_block(n_particles: int, coupling: float,
+                parity: Parity) -> TridiagonalBlock:
+    """Assemble the real symmetric tridiagonal sector block of H at a
+    real coupling.  The diagonal is the sector's shared read-only m-grid.
     """
     diag, factors = _sector_arrays(n_particles, parity)
-    g = complex(coupling)
     # a coupling too large for the double range leaves inf entries,
     # which eig_real_tridiag rejects with the cause named
     with np.errstate(over="ignore"):
-        if g.imag == 0.0:
-            offdiag = g.real * factors
-        else:
-            offdiag = g * factors.astype(complex)
+        offdiag = float(coupling) * factors
     return TridiagonalBlock(diag, offdiag, n_particles, parity)
 
 

@@ -225,9 +225,10 @@ def eig_complex_tridiag(n_particles: int, parity: Parity,
     the arguments np.linalg.eigvals passes, so the values match numpy's
     to the bit (the tests check this).  Each row is sorted
     lexicographically (real part, then imaginary part) so output is
-    deterministic; the order carries no physical meaning.  A block with a non-finite entry (a coupling past
-    the double range), or whose QR iteration does not converge, gives a
-    row of NaN, and the other rows are unaffected.
+    deterministic; the order carries no physical meaning.  A block with
+    a non-finite entry (a coupling past the double range), or whose QR
+    iteration does not converge, gives a row of NaN, and the other rows
+    are unaffected.
     """
     diag, factors = _sector_arrays(n_particles, parity)
     g = np.asarray(couplings, dtype=complex).reshape(-1)

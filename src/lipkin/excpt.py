@@ -27,6 +27,7 @@ matching how branch points are plotted and counted per coupling.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -240,7 +241,12 @@ def ep_scan(n_particles: int, sector: Parity,
         raise UsageError(f"the scan region {region} needs re_min < re_max "
                          "and 0 <= im_min < im_max")
     nx, ny = (grid, grid) if np.isscalar(grid) else grid
-    if not all(isinstance(k, int) and k >= 1 for k in (nx, ny)):
+    try:  # an integer is what operator.index takes, bar bool
+        nx, ny = (0 if isinstance(k, bool) else operator.index(k)
+                  for k in (nx, ny))
+    except TypeError:
+        nx = ny = 0
+    if min(nx, ny) < 1:
         raise UsageError(f"the scan grid {grid} needs an integer >= 1 "
                          "per axis")
     xs, ys = _cell_centres(re0, re1, nx), _cell_centres(im0, im1, ny)

@@ -34,6 +34,35 @@ def test_spectrum_csv_schema_full_and_lower_half():
     assert len(lines) == 1 + 5
 
 
+ONE_TABLE_ARGVS = [
+    ["spectrum", "--n", "12", "--lambda", "2", "--derivative"],
+    ["gaps", "--n", "9", "--lambda", "3", "--sector", "odd"],
+    ["scaling", "--law", "eq3", "--lambda", "2", "--n-list", "16,32"],
+    ["eps", "--n", "8", "--re-max", "3", "--im-max", "3", "--grid", "20"],
+    ["fit", "--n", "512", "--lambda", "5"],
+    ["localization", "--n", "40", "--lambda", "5", "--sector", "odd"],
+    ["eps", "--n", "9", "--re-max", "1e-300", "--im-min", "1e-08",
+     "--im-max", "0.5", "--grid", "4"],  # a table with no rows
+]
+
+
+@pytest.mark.parametrize("argv", ONE_TABLE_ARGVS, ids=" ".join)
+def test_csv_and_json_carry_one_table(argv):
+    from lipkin.cli import _fmt
+
+    code, text, _ = run_cli(argv)
+    assert code == 0
+    header, *lines = text.splitlines()
+    code, out, _ = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    assert len(rows) == len(lines)
+    assert (len(rows) == 0) == (argv[-1] == "4")  # only the last is empty
+    for row, line in zip(rows, lines):
+        assert ",".join(row) == header
+        assert ",".join(_fmt(v) for v in row.values()) == line
+
+
 def test_spectrum_csv_values_round_trip():
     code, out, _ = run_cli(["spectrum", "--n", "8", "--lambda", "1.7"])
     rows = out.strip().split("\n")[1:]
@@ -421,7 +450,7 @@ def test_non_finite_json_result_is_numerical_failure(tmp_path, monkeypatch):
     from lipkin.analysis import ScalingReport
 
     def nan_report(coupling, n_list):
-        return ScalingReport([(64, math.nan)], [math.nan])
+        return ScalingReport([(64, math.nan)], None)
 
     monkeypatch.setattr(lipkin.cli, "gap_ratio_eq3", nan_report)
     target = tmp_path / "out.json"

@@ -91,14 +91,6 @@ def test_coupling_linearity_and_reflection(n, lam):
                            rtol=1e-13, atol=0)
 
 
-def test_complex_coupling_gives_complex_symmetric_block():
-    b = build_block(6, 1.0 + 2.0j, Parity.EVEN)
-    assert np.iscomplexobj(b.offdiag)
-    assert not np.iscomplexobj(b.diag)
-    assert np.allclose(b.offdiag / (1.0 + 2.0j),
-                       build_block(6, 1.0, Parity.EVEN).offdiag)
-
-
 def test_scaled_action_examples():
     b = build_block(2, 1.0, Parity.EVEN)
     out = apply_scaled_hamiltonian(b, np.array([1.0, 0.0]))

@@ -29,6 +29,14 @@ def _sorted_complex(w):
     return np.sort_complex(np.asarray(w))
 
 
+def complex_block(n, g, parity):
+    """The complex symmetric sector block at coupling g, assembled as
+    eig_complex_tridiag assembles it."""
+    diag, factors = lipkin.core._sector_arrays(n, parity)
+    return TridiagonalBlock(diag, complex(g) * factors.astype(complex), n,
+                            parity)
+
+
 def multiset_distance(a, b):
     """Max matched distance between two complex multisets (optimal
     assignment; immune to sort flips between near-degenerate values)."""
@@ -59,10 +67,10 @@ def test_real_solver_examples():
 
 def test_real_solver_rejects_complex_blocks():
     with pytest.raises(ValueError):
-        eig_real_tridiag(build_block(4, 1.0j, Parity.EVEN))
+        eig_real_tridiag(complex_block(4, 1.0j, Parity.EVEN))
     with pytest.raises(ValueError):
         eig_real_tridiag([build_block(4, 1.0, Parity.EVEN),
-                          build_block(4, 1.0j, Parity.ODD)])
+                          complex_block(4, 1.0j, Parity.ODD)])
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -276,7 +284,7 @@ def test_complex_solver_output_is_lexicographically_sorted():
 def test_complex_solver_matches_dense_oracle(n):
     g = 0.9 + 1.4j
     for parity, even in [(Parity.EVEN, True), (Parity.ODD, False)]:
-        block = build_block(n, g, parity)
+        block = complex_block(n, g, parity)
         if block.dimension < 2:
             continue
         values = _sorted_complex(eig_complex_tridiag(n, parity, [g])[0])
@@ -287,7 +295,7 @@ def test_complex_solver_matches_dense_oracle(n):
 
 def test_complex_spectrum_reversal_invariance():
     # reversing the basis order leaves the eigenvalue multiset alone
-    block = build_block(10, 1.1 + 0.7j, Parity.EVEN)
+    block = complex_block(10, 1.1 + 0.7j, Parity.EVEN)
     a = np.diag(block.diag.astype(complex))
     a += np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
     rev = a[::-1, ::-1]
@@ -302,8 +310,8 @@ STACK_COUPLINGS = [0.0, 1.5, -0.7, 0.3 + 2.1j, 1.2 - 0.4j, -2.0 + 0.5j, 2.0j]
 
 
 def dense_lex_eigvals(n, parity, g):
-    """One dense solve of the block build_block assembles, lex-sorted."""
-    block = build_block(n, g, parity)
+    """One dense solve of the complex block at g, lex-sorted."""
+    block = complex_block(n, g, parity)
     a = np.diag(block.diag.astype(complex))
     a += np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
     w = np.linalg.eigvals(a)
@@ -426,7 +434,7 @@ def test_sector_arrays_built_once_and_read_only(monkeypatch):
     for g in (0.5 + 1.0j, 1.5 + 0.2j, 0.7):
         det_state_at(14, Parity.ODD, g, 0.3)
         eig_complex_tridiag(14, Parity.ODD, [g])
-        block = build_block(14, g, Parity.ODD)
+        block = build_block(14, g.real, Parity.ODD)
     assert calls == built
     diag, factors = lipkin.core._sector_arrays(14, Parity.ODD)
     assert block.diag is diag
@@ -470,7 +478,7 @@ def test_charpoly_sign_at_large_positive_energy(n):
 @pytest.mark.parametrize("g", [1.3, 0.4 + 0.9j])
 def test_charpoly_matches_dense_determinant(g):
     for n in [2, 5, 9]:
-        block = build_block(n, g, Parity.EVEN)
+        block = complex_block(n, g, Parity.EVEN)
         energy = 0.37 - 0.21j
         a = np.diag(block.diag.astype(complex))
         if block.dimension > 1:
