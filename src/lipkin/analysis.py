@@ -233,7 +233,7 @@ def gap_ratio_eq3(coupling: float, n_list: Sequence[int]) -> ScalingReport:
     return ScalingReport(samples, None)
 
 
-def ipr(v: np.ndarray):
+def ipr(v: np.ndarray) -> float | np.ndarray:
     """Inverse participation ratio of a normalized coefficient vector, or
     an array of them for the columns of a matrix.
 

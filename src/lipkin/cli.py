@@ -142,8 +142,8 @@ def cmd_spectrum(args) -> tuple[dict, dict]:
     half = min(len(values), args.n // 2)
     count = half if args.lower_half else len(values)
     k = np.arange(1, count + 1)
-    tags = (s.merged_parity[:count].astype(str) if args.sector == "merged"
-            else [args.sector] * count)
+    tags = (list(map(str, s.merged_parity[:count]))
+            if args.sector == "merged" else [args.sector] * count)
     columns = {"k": k, "x": 2.0 * k / args.n, "E": values[:count],
                "eps": _scaled_energy(values[:count], args.n), "sector": tags}
     if args.derivative:

@@ -222,7 +222,8 @@ def ep_scan(n_particles: int, sector: Parity,
     region is (re_min, re_max, im_min, im_max), and grid the cells per
     axis, one integer for both or a pair (nx, ny); a region without
     re_min < re_max and 0 <= im_min < im_max, or a grid axis that is not
-    an integer >= 1, raises UsageError before any solve.  The rectangle
+    an integer >= 1 (a numpy integer is one; a bool is not), raises
+    UsageError before any solve.  The rectangle
     is tiled into grid cells; at each cell center the complex spectrum
     is computed, and cells where the two closest eigenvalues dip to a
     local minimum seed the Newton refinement.  The solver takes blocks
@@ -240,11 +241,10 @@ def ep_scan(n_particles: int, sector: Parity,
     if not (re0 < re1 and 0.0 <= im0 < im1):
         raise UsageError(f"the scan region {region} needs re_min < re_max "
                          "and 0 <= im_min < im_max")
-    nx, ny = (grid, grid) if np.isscalar(grid) else grid
     try:  # an integer is what operator.index takes, bar bool
         nx, ny = (0 if isinstance(k, bool) else operator.index(k)
-                  for k in (nx, ny))
-    except TypeError:
+                  for k in ((grid,) * 2 if np.ndim(grid) == 0 else grid))
+    except (TypeError, ValueError):
         nx = ny = 0
     if min(nx, ny) < 1:
         raise UsageError(f"the scan grid {grid} needs an integer >= 1 "

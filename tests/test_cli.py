@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lipkin import full_spectrum
-from lipkin.cli import main
+from lipkin.cli import _fmt, main
 
 
 def run_cli(argv):
@@ -48,8 +48,6 @@ ONE_TABLE_ARGVS = [
 
 @pytest.mark.parametrize("argv", ONE_TABLE_ARGVS, ids=" ".join)
 def test_csv_and_json_carry_one_table(argv):
-    from lipkin.cli import _fmt
-
     code, text, _ = run_cli(argv)
     assert code == 0
     header, *lines = text.splitlines()

@@ -143,7 +143,7 @@ def test_scan_rejects_an_empty_region_before_any_solve(region, monkeypatch):
 
 
 @pytest.mark.parametrize("grid", [0, (0, 5), (5, 0), -1, (3, -2), 2.5,
-                                  (4, 4.0), True, (True, 4)])
+                                  (4, 4.0), True, (True, 4), (4, 4, 4)])
 def test_scan_rejects_a_bad_grid_before_any_solve(grid, monkeypatch):
     def no_solve(*args):
         raise AssertionError("solved a block for a rejected grid")
@@ -157,7 +157,7 @@ def test_scan_takes_numpy_integers_for_its_grid():
     region = (0.0, 3.0, 0.0, 3.0)
     plain = ep_scan(8, Parity.EVEN, region, 10)
     assert plain
-    for grid in (np.int64(10), (np.int32(10), 10)):
+    for grid in (np.int64(10), (np.int32(10), 10), np.array(10)):
         assert ep_scan(8, Parity.EVEN, region, grid) == plain
 
 
