@@ -6,7 +6,6 @@ from .core import (
     TridiagonalBlock,
     apply_scaled_hamiltonian,
     build_block,
-    sector_basis,
 )
 from .eigen import (
     eig_complex_tridiag,

@@ -90,7 +90,7 @@ def _scaled_energy(energy, n: int):
     return energy / (n / 2)
 
 
-def scaled_spectrum(s: Spectrum, selector: str = "merged") -> ScaledSpectrum:
+def scaled_spectrum(s: Spectrum, selector: str) -> ScaledSpectrum:
     """Map the ordered levels of "merged", "even" or "odd" to
     (2k/N, 2E_k/N), k <= N/2."""
     values = s.levels(selector)
@@ -270,13 +270,9 @@ def spectral_derivative(ss: ScaledSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return xm, de / dx
 
 
-def critical_state(n_particles: int, solved: EigenResult):
-    """Eigenvector of the sector level nearest the critical line.
-
-    solved is one sector block's full solve with vectors.  Returns
-    (k, eigenvalue, vector); this is the state that localizes on m = -j
-    as N grows.
-    """
+def critical_state(n_particles: int, solved: EigenResult) -> int:
+    """The 1-based level k of one sector block's solve nearest the
+    critical line: the state that localizes on m = -j as N grows, whose
+    level and vector the caller reads from solved at k - 1."""
     eps = _scaled_energy(solved.values, n_particles)
-    k = int(np.argmin(np.abs(eps + 1.0)))
-    return k + 1, float(solved.values[k]), solved.vectors[:, k]
+    return int(np.argmin(np.abs(eps + 1.0))) + 1

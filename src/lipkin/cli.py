@@ -258,7 +258,7 @@ def cmd_localization(args) -> tuple[dict, dict]:
     block = build_block(args.n, args.lam, Parity(args.sector))
     res = eig_real_tridiag(block, want_vectors=True)
     iprs = ipr(res.vectors)
-    k_crit = critical_state(args.n, res)[0]
+    k_crit = critical_state(args.n, res)
     columns = {"k": np.arange(1, len(res.values) + 1), "E": res.values,
                "eps": _scaled_energy(res.values, args.n), "ipr": iprs,
                "m_peak": block.diag[np.argmax(np.abs(res.vectors), axis=0)]}

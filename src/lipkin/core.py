@@ -38,12 +38,18 @@ class Parity(enum.Enum):
         return self.value
 
 
-def sector_basis(n_particles: int, parity: Parity) -> np.ndarray:
-    """Return the ascending m-grid of one sector.
+@functools.lru_cache(maxsize=64)
+def _sector_arrays(n_particles: int, parity: Parity) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending m-grid of one sector and its unit-coupling ladder
+    factors; N < 1 raises UsageError.
 
-    Both sectors together partition {-j, -j+1, ..., j}; consecutive
-    entries within a sector differ by exactly 2.  m-values are exact in
-    floating point (integers or half-integers).
+    The two grids partition {-j, ..., j} in steps of 2, exactly in
+    floating point.  Factor i couples m = diag[i] to m + 2 and equals
+    sqrt((j-m)(j+m+1)(j-m-1)(j+m+2)) / (2N), i.e. the off-diagonal of
+    the block at unit coupling.  Computed from the product form; no
+    factorials, so large N stays in range.  Built once per (N, parity)
+    and shared read-only by block assembly, the complex solver and the
+    determinant recurrence, which only vary g and E.
     """
     if n_particles < 1:
         raise UsageError(
@@ -51,23 +57,7 @@ def sector_basis(n_particles: int, parity: Parity) -> np.ndarray:
             "interaction scale is undefined otherwise"
         )
     j = n_particles / 2.0
-    start = -j if parity is Parity.EVEN else -j + 1.0
-    return np.arange(start, j + 0.5, 2.0)
-
-
-@functools.lru_cache(maxsize=64)
-def _sector_arrays(n_particles: int, parity: Parity) -> tuple[np.ndarray, np.ndarray]:
-    """The m-grid and unit-coupling ladder factors of one sector.
-
-    Factor i couples m = diag[i] to m + 2 and equals
-    sqrt((j-m)(j+m+1)(j-m-1)(j+m+2)) / (2N), i.e. the off-diagonal of
-    the block at unit coupling.  Computed from the product form; no
-    factorials, so large N stays in range.  Built once per (N, parity)
-    and shared read-only by block assembly, the complex solver and the
-    determinant recurrence, which only vary g and E.
-    """
-    diag = sector_basis(n_particles, parity)
-    j = n_particles / 2.0
+    diag = np.arange(-j if parity is Parity.EVEN else -j + 1.0, j + 0.5, 2.0)
     m = diag[:-1]
     radicand = (j - m) * (j + m + 1.0) * (j - m - 1.0) * (j + m + 2.0)
     factors = np.sqrt(radicand) / (2.0 * n_particles)

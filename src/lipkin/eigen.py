@@ -115,20 +115,23 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
     blocks are solved concurrently, largest first, on worker threads
     that are joined before the call returns (_fan_out).
     index_range=(lo, hi) asks for levels lo..hi of a single block only
-    (0-based, inclusive), found by Sturm-count bisection at O(dim) per
-    level; use it when a few levels are needed, never for the whole
-    spectrum, where bisection is an order of magnitude slower than the
-    full solve.  Vectors, when requested of a single block, come back
-    column-aligned with the values and orthonormal.  A block whose
+    (0-based, inclusive), without vectors, found by Sturm-count
+    bisection at O(dim) per level; use it when a few levels are needed,
+    never for the whole spectrum, where bisection is an order of
+    magnitude slower than the full solve.  Vectors, when requested of
+    one block's full solve, come back column-aligned with the values and
+    orthonormal; asked of a batch or with index_range, they raise
+    ValueError before any solve.  A block whose
     entries LAPACK cannot take, or whose levels are not finite (they
     exceed the double range), raises ValueError naming the block.
     """
     batch = [blocks] if isinstance(blocks, TridiagonalBlock) else list(blocks)
     for block in batch:
         _check_real(block)
-    if (want_vectors or index_range is not None) and len(batch) != 1:
-        raise ValueError("vectors and index_range take a single block, "
-                         f"got {len(batch)}")
+    if (want_vectors or index_range is not None) and (
+            len(batch) != 1 or want_vectors and index_range is not None):
+        raise ValueError("vectors take one block's full solve and "
+                         f"index_range one block, got {len(batch)}")
     if index_range is None:
         order = sorted(range(len(batch)), key=lambda i: batch[i].dimension,
                        reverse=True)
@@ -145,17 +148,15 @@ def eig_real_tridiag(blocks: TridiagonalBlock | Sequence[TridiagonalBlock],
                          f"0..{block.dimension - 1}")
     # dstevd rescales a block, bisection does not, and the squares it
     # forms overflow from about 2**512: bisect the block scaled by an
-    # exact power of two, which leaves the vectors as they are and the
-    # levels exact up to that power
+    # exact power of two, which leaves the levels exact up to that power
     scale = math.frexp(max(np.abs(block.diag).max(),
                            np.abs(block.offdiag).max(initial=0.0)))[1]
-    solved = scipy.linalg.eigh_tridiagonal(
+    values = scipy.linalg.eigh_tridiagonal(
         np.ldexp(block.diag, -scale), np.ldexp(block.offdiag, -scale),
-        eigvals_only=not want_vectors, select="i", select_range=(lo, hi))
-    values, vectors = solved if want_vectors else (solved, None)
+        eigvals_only=True, select="i", select_range=(lo, hi))
     with np.errstate(over="ignore"):  # _check_levels names an overflow
         values = np.ldexp(values, scale)
-    return EigenResult(_check_levels(block, values), vectors)
+    return EigenResult(_check_levels(block, values), None)
 
 
 def _check_real(block: TridiagonalBlock) -> None:

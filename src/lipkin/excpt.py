@@ -57,10 +57,11 @@ NEAR_REAL_IM_TOL = {8: 1.5, 16: 1.2, 32: 0.8}
 
 
 def default_im_tol(n_particles: int) -> float:
-    """Documented default for the near-real cutoff at a given N."""
-    if n_particles in NEAR_REAL_IM_TOL:
-        return NEAR_REAL_IM_TOL[n_particles]
-    return min(1.5, 3.6 * n_particles ** -0.45)
+    """NEAR_REAL_IM_TOL's calibrated cutoff at N; other N raise UsageError."""
+    if n_particles not in NEAR_REAL_IM_TOL:
+        raise UsageError(f"no calibrated near-real cutoff at N={n_particles}"
+                         f"; only N in {sorted(NEAR_REAL_IM_TOL)} have one")
+    return NEAR_REAL_IM_TOL[n_particles]
 
 
 class EpConvergenceError(RuntimeError):
@@ -215,7 +216,7 @@ def _closest_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def ep_scan(n_particles: int, sector: Parity,
             region: tuple[float, float, float, float],
-            grid: tuple[int, int] | int = 60) -> list[ExceptionalPoint]:
+            grid: tuple[int, int] | int) -> list[ExceptionalPoint]:
     """Find the EPs of one sector inside a rectangle of the upper
     half coupling plane.
 
@@ -353,19 +354,19 @@ def ep_pair_id(ep: ExceptionalPoint) -> tuple[int, int]:
 
 
 def near_real_ep_count(n_particles: int, lambda_max: float,
-                       im_tol: float | None = None) -> int:
+                       im_tol: float) -> int:
     """Count EPs accumulating along the real axis in (1, lambda_max).
 
     Both sectors are scanned and combined; conjugate mirrors (and the
     +-E* partners at one g*) are implicit in the per-coupling dedup, so
-    each branch coupling counts once.  im_tol defaults to the calibrated
-    per-N value from NEAR_REAL_IM_TOL; there is no N-independent notion
-    of "near" at finite N, so the cutoff is an explicit caller choice.
+    each branch coupling counts once.  There is no N-independent notion
+    of "near" at finite N, so im_tol is the caller's choice:
+    default_im_tol gives the calibrated one for N = 8, 16 and 32.
     lambda_max <= 1 or im_tol <= 0 raise UsageError before any solve.
     """
     if lambda_max <= 1.0:
         raise UsageError("lambda_max must exceed 1")
-    tol = default_im_tol(n_particles) if im_tol is None else float(im_tol)
+    tol = float(im_tol)
     height = tol * 1.05
     nx = max(40, int(round(_NEAR_REAL_GRID_PER_UNIT * (lambda_max - 1.0))))
     ny = max(24, int(round(_NEAR_REAL_GRID_PER_UNIT * height)))

@@ -44,7 +44,7 @@ class SingularityFit:
 
 
 def window_points(ss: ScaledSpectrum, x_c: float, side: str,
-                  window: tuple[float, float] = DEFAULT_WINDOW) -> tuple[np.ndarray, np.ndarray]:
+                  window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Select (x, y = eps+1) on one side of x_c within the fit window.
 
     Points closer to x_c than one level spacing, 2/N, are dropped: the

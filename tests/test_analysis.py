@@ -277,8 +277,10 @@ def test_critical_state_localizes_on_lowest_weight():
     # couplings and detunings both scale as 1/N), so the IPR saturates
     # around 0.11 for coupling 5 instead of approaching 1.
     block = build_block(500, 5.0, Parity.EVEN)
-    k, energy, vec = critical_state(
-        500, eig_real_tridiag(block, want_vectors=True))
+    solved = eig_real_tridiag(block, want_vectors=True)
+    k = critical_state(500, solved)
+    assert type(k) is int
+    energy, vec = solved.values[k - 1], solved.vectors[:, k - 1]
     m_grid = block.diag
     assert 2.0 * energy / 500 == pytest.approx(-1.0, abs=0.05)
     weights = np.abs(vec) ** 2
@@ -293,7 +295,7 @@ def test_critical_state_edge_profile_is_scale_free():
     for n in (500, 1000, 2000):
         solved = eig_real_tridiag(build_block(n, 5.0, Parity.EVEN),
                                   want_vectors=True)
-        iprs.append(ipr(critical_state(n, solved)[2]))
+        iprs.append(ipr(solved.vectors[:, critical_state(n, solved) - 1]))
     assert all(0.08 < v < 0.25 for v in iprs)
 
 

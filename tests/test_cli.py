@@ -745,6 +745,20 @@ def test_overflowing_scan_cells_warn_only_that_they_are_skipped():
                for m in messages), messages
 
 
+@pytest.mark.parametrize("argv,key,value", [
+    (["localization", "--n", "4", "--lambda=-1e300"], "lambda", -1e300),
+    (["eps", "--n", "4", "--re-min=-1e-3", "--re-max", "1", "--im-max", "2",
+      "--grid", "6"], "re_min", -1e-3),
+])
+def test_negative_float_in_exponent_form_takes_the_equals_form(argv, key,
+                                                               value):
+    # argparse may read a spaced "-1e-3" as a flag, depending on the
+    # Python version; the "=" form is a value on every version
+    code, out, _ = run_cli([*argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["config"][key] == value
+
+
 @pytest.mark.parametrize("argv,re_min", [
     (["eps", "--n", "2", "--re-max", "1e308", "--im-max", "1", "--grid", "3"],
      0.0),

@@ -6,35 +6,38 @@ from lipkin import (
     Parity,
     apply_scaled_hamiltonian,
     build_block,
-    sector_basis,
 )
 
-from lipkin.core import UsageError
+from lipkin.core import UsageError, _sector_arrays
 from oracles import dense_sector_block, full_m_grid
 
 LAMBDA_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
 
 
+def m_grid(n, parity):
+    return _sector_arrays(n, parity)[0]
+
+
 def test_sector_basis_examples():
-    assert list(sector_basis(2, Parity.EVEN)) == [-1.0, 1.0]
-    assert list(sector_basis(2, Parity.ODD)) == [0.0]
-    assert list(sector_basis(4, Parity.EVEN)) == [-2.0, 0.0, 2.0]
+    assert list(m_grid(2, Parity.EVEN)) == [-1.0, 1.0]
+    assert list(m_grid(2, Parity.ODD)) == [0.0]
+    assert list(m_grid(4, Parity.EVEN)) == [-2.0, 0.0, 2.0]
     # N=5: the class containing m = -j (physically labelled "odd" since
     # N is odd, neutrally labelled EVEN here)
-    assert list(sector_basis(5, Parity.EVEN)) == [-2.5, -0.5, 1.5]
+    assert list(m_grid(5, Parity.EVEN)) == [-2.5, -0.5, 1.5]
 
 
 def test_sector_basis_rejects_zero():
     # N < 1 is an argument outside the rules, as in the sweeps and scans
     for n in [0, -1]:
         with pytest.raises(UsageError, match="n_particles must be >= 1"):
-            sector_basis(n, Parity.EVEN)
+            m_grid(n, Parity.EVEN)
 
 
 @given(n=st.integers(min_value=1, max_value=64))
 def test_sectors_partition_the_multiplet(n):
-    even = sector_basis(n, Parity.EVEN)
-    odd = sector_basis(n, Parity.ODD)
+    even = m_grid(n, Parity.EVEN)
+    odd = m_grid(n, Parity.ODD)
     assert np.all(np.diff(even) == 2.0)
     if len(odd) > 1:
         assert np.all(np.diff(odd) == 2.0)

@@ -20,7 +20,7 @@ from lipkin import (
     ep_scan,
     near_real_ep_count,
 )
-from lipkin.core import UsageError, _sector_arrays, sector_basis
+from lipkin.core import UsageError, _sector_arrays
 from lipkin.eigen import det_state_at
 
 from oracles import branch_couplings
@@ -61,6 +61,18 @@ def test_refine_rejects_real_axis_as_spurious():
 def test_refine_rejects_nonsense_seed():
     with pytest.raises(EpConvergenceError):
         ep_refine(2, Parity.EVEN, complex("inf"), 0.0j)
+
+
+@pytest.mark.parametrize("n, parity", [(4, Parity.EVEN), (8, Parity.ODD),
+                                       (2, Parity.EVEN)])
+def test_refine_singular_jacobian_is_convergence_error(n, parity):
+    # det depends on g only through g**2, so d_g det and d_eg vanish at
+    # g = 0 and the Newton system's g column is zero: the scan never
+    # seeds there, since its cell centres have Im g > 0
+    st = det_state_at(n, parity, 0j, 0.5)
+    assert st.d_g == st.d_eg == 0
+    with pytest.raises(EpConvergenceError, match="singular Newton system"):
+        ep_refine(n, parity, 0j, 0.5)
 
 
 def test_refine_overflowing_seed_is_convergence_error():
@@ -267,9 +279,9 @@ def test_pair_id_frozen_small_n_cases():
 
 
 def test_near_real_count_small_systems():
-    # calibrated defaults: {8: 1.5, 16: 1.2}; counts follow the N/8 rule
-    assert near_real_ep_count(8, 2.0) == 1
-    assert near_real_ep_count(16, 2.0) == 2
+    # calibrated cutoffs: {8: 1.5, 16: 1.2}; counts follow the N/8 rule
+    assert near_real_ep_count(8, 2.0, default_im_tol(8)) == 1
+    assert near_real_ep_count(16, 2.0, default_im_tol(16)) == 2
 
 
 def test_near_real_count_one_level_sectors():
@@ -282,7 +294,7 @@ def test_near_real_count_one_level_sectors():
 def test_near_real_count_degenerate_window():
     assert near_real_ep_count(8, 1.0001, im_tol=0.05) == 0
     with pytest.raises(UsageError):
-        near_real_ep_count(8, 1.0)
+        near_real_ep_count(8, 1.0, 1.5)
 
 
 @pytest.mark.parametrize("im_tol", [-1.0, 0.0])
@@ -295,7 +307,10 @@ def test_default_im_tol_table():
     assert default_im_tol(8) == 1.5
     assert default_im_tol(16) == 1.2
     assert default_im_tol(32) == 0.8
-    assert 0.0 < default_im_tol(96) < 0.8
+    # no cutoff is calibrated at any other N
+    for n in [1, 4, 9, 64, 96]:
+        with pytest.raises(UsageError, match=r"only N in \[8, 16, 32\]"):
+            default_im_tol(n)
 
 
 # -- the stacked scan against the per-cell path it replaced ----------------
@@ -545,7 +560,7 @@ def test_odd_n_mirror_rows_carry_mirrored_labels(n):
     # with dim levels is level dim + 1 - k of the other
     found = {parity: ep_scan(n, parity, (0.0, 3.0, 0.0, 3.0), 60)
              for parity in Parity}
-    dim = len(sector_basis(n, Parity.EVEN))
+    dim = len(_sector_arrays(n, Parity.EVEN)[0])
     assert len(found[Parity.EVEN]) == len(found[Parity.ODD]) > 0
     for ep in found[Parity.EVEN]:
         twin, = [other for other in found[Parity.ODD]
